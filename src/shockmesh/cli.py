@@ -5,8 +5,10 @@ flat key=value config file and writes snapshots.csv, tv_series.csv and
 manifest.json; ``theory --lambda --c --m --kmax <out>`` sweeps the bound
 table under sustained forcing and writes bounds.csv. Exit codes: 0 success,
 2 unusable configuration or parameters, 3 runtime blow-up (partial outputs
-are kept). All numbers are serialized with 17 significant digits, so the
-CSV outputs of identical configurations are byte-identical.
+are kept), 4 a failed mesh reconstruction (manifest only) or a bound table
+that failed its self-check (no file). All numbers are serialized with 17
+significant digits, so the CSV outputs of identical configurations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,7 @@ from .bounds import (
 from .driver import BlowUpError, RunConfig, StepRecord, run_simulation
 from .grid import GridSolution, Problem, burgers_problem, transport_problem
 from .monitor import EstimatorParams
-from .remesh import ExtremeGuardParams
+from .remesh import ExtremeGuardParams, RemeshError
 from .schemes import SchemeKind, evolution_constant
 
 __all__ = ["ConfigError", "parse_config", "build_run_config", "main"]
@@ -174,11 +177,11 @@ def _snapshot_lines(
     for step, instant, solution in snapshots:
         if step % cadence != 0 and step != last:
             continue
-        x = solution.mesh.nodes
-        u = solution.values
-        t_str = _fmt(instant)
-        for i in range(x.size):
-            lines.append(f"{step},{t_str},{i},{_fmt(x[i])},{_fmt(u[i])}")
+        # One %-format per block: '%.17g' % x is the text of _fmt(x).
+        n = len(solution)
+        row = f"{step},{_fmt(instant)},%d,%.17g,%.17g"
+        fields = zip(range(n), solution.mesh.nodes.tolist(), solution.values.tolist())
+        lines.append("\n".join([row] * n) % tuple(chain.from_iterable(fields)))
     return lines
 
 
@@ -191,6 +194,12 @@ def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list
             f"{_fmt(rec.mean_score)},{_fmt(rec.increase)},{_fmt(rec.overshoot)}"
         )
     return lines
+
+
+def _write_manifest(out: Path, manifest: dict) -> None:
+    with open(out / "manifest.json", "w", newline="\n") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.write("\n")
 
 
 def cmd_simulate(config_path: str, outdir: str) -> int:
@@ -225,6 +234,19 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         blow_up_step = exc.step
         records = exc.records
         steps = len(exc.records)
+    except RemeshError as exc:
+        # The hook has seen the initial state and every completed step.
+        steps = snapshots[-1][0]
+        _write_manifest(out, {
+            "command": "simulate",
+            "status": "remesh_error",
+            "steps": steps,
+            "error": str(exc),
+            "wall_time_seconds": time.perf_counter() - start,
+            "config": settings,
+        })
+        print(f"error: mesh reconstruction failed after step {steps}: {exc}", file=sys.stderr)
+        return 4
     wall = time.perf_counter() - start
 
     _write_lines(out / "snapshots.csv", _snapshot_lines(snapshots, steps))
@@ -243,9 +265,7 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     }
     if blow_up_step is not None:
         manifest["blow_up_step"] = blow_up_step
-    with open(out / "manifest.json", "w", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    _write_manifest(out, manifest)
 
     if status == "blow_up":
         print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
@@ -253,8 +273,14 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     return 0
 
 
-def _check_table_identities(params: BoundParams, last_step: int, table) -> None:
-    """Cross-validate the bound table before writing it out."""
+def _check_table_identities(
+    params: BoundParams, last_step: int, table, closed: np.ndarray, uniform: list[float]
+) -> None:
+    """Cross-validate the bound table before writing it out.
+
+    ``closed[m, k]`` is the closed-form entry and ``uniform[m - 1]`` the
+    stationary bound on extreme m; the CSV writer reuses both.
+    """
     envelope = (
         params.variation_scale
         * (1.0 - params.weak_coupling_sum)
@@ -267,12 +293,11 @@ def _check_table_identities(params: BoundParams, last_step: int, table) -> None:
         previous = math.inf
         for m in range(1, k + 1):
             rec = table.value(m, k)
-            closed = extreme_bound_closed_form(params, m, k)
-            if abs(closed - rec) > 1e-10 * (1.0 + rec):
+            if abs(closed[m, k] - rec) > 1e-10 * (1.0 + rec):
                 raise RuntimeError(f"closed form mismatch at m={m}, k={k}")
             if rec > previous * slack:
                 raise RuntimeError(f"extreme order violated at m={m}, k={k}")
-            if rec > uniform_extreme_bound(params, m) * slack + 1e-300:
+            if rec > uniform[m - 1] * slack + 1e-300:
                 raise RuntimeError(f"uniform bound violated at m={m}, k={k}")
             previous = rec
         if table.column_sum(k) > envelope * slack:
@@ -309,7 +334,16 @@ def cmd_theory(
         increases=np.full(last_step, growth * scale),
     )
     table = extreme_bound_table(params, last_step)
-    _check_table_identities(params, last_step, table)
+    closed = np.zeros((last_step + 1, last_step + 1))
+    for k in range(1, last_step + 1):
+        for m in range(1, k + 1):
+            closed[m, k] = extreme_bound_closed_form(params, m, k)
+    uniform = [uniform_extreme_bound(params, m) for m in range(1, last_step + 1)]
+    try:
+        _check_table_identities(params, last_step, table, closed, uniform)
+    except RuntimeError as exc:
+        print(f"error: bound table failed its self-check: {exc}", file=sys.stderr)
+        return 4
 
     b1 = tv_increase_bound_from_extremes(params)
     b2 = tv_increase_bound_from_contributions(params)
@@ -325,8 +359,8 @@ def cmd_theory(
             partial += rec
             lines.append(
                 f"{m},{k},{_fmt(rec)},"
-                f"{_fmt(extreme_bound_closed_form(params, m, k))},"
-                f"{_fmt(uniform_extreme_bound(params, m))},"
+                f"{_fmt(closed[m, k])},"
+                f"{_fmt(uniform[m - 1])},"
                 f"{_fmt(increase_contribution(params, m, k))},"
                 f"{_fmt(partial)},{b1_str},{b2_str}"
             )

@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, Problem, make_jump_initial, total_variation
+from .grid import (
+    CellGeometry,
+    GridSolution,
+    Mesh,
+    Problem,
+    make_jump_initial,
+    total_variation,
+)
 from .monitor import EstimatorParams
 from .remesh import ExtremeGuardParams, ExtremeGuardReport, remesh_step
 from .schemes import (
@@ -127,28 +134,34 @@ class RunResult:
 def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] | None:
     """Smallest node window [lo, hi] carrying ``fraction`` of the TV.
 
-    Scans with two pointers over the absolute differences; among windows of
-    minimal length the leftmost one is returned. Returns None when the data
-    has no variation at all.
+    One pass over prefix sums of the absolute differences: with
+    ``c = [0, cumsum(|diff u|)]`` the window of jumps lo..j carries
+    ``c[j + 1] - c[lo]``, so for every right end j the largest admissible
+    lo is found by a ``searchsorted`` of ``c[j + 1] - target`` in ``c``.
+    Among windows of minimal length the leftmost one is returned. Returns
+    None when the data has no variation at all.
+
+    The comparison runs on differences of prefix sums, where a running
+    two-pointer sum would add and drop jumps one at a time; the two round
+    differently, so a window whose carried variation lies within a few ulps
+    of the target can be accepted by one and rejected by the other. When
+    every partial sum is exact (dyadic data of modest size) the result is
+    exactly that of the two-pointer scan.
     """
     jumps = np.abs(np.diff(np.asarray(values, dtype=np.float64)))
     total = float(jumps.sum())
     if total <= 0.0:
         return None
     target = fraction * total
-    best: tuple[int, int] | None = None
-    acc = 0.0
-    lo = 0
-    for hi in range(jumps.size):
-        acc += jumps[hi]
-        while acc - jumps[lo] >= target and lo < hi:
-            acc -= jumps[lo]
-            lo += 1
-        if acc >= target and (best is None or hi - lo < best[1] - best[0]):
-            best = (lo, hi)
-    if best is None:
+    prefix = np.concatenate(([0.0], np.cumsum(jumps)))
+    ends = prefix[1:]
+    hi = np.flatnonzero(ends >= target)
+    if hi.size == 0:
         return None
-    return best[0], best[1] + 1
+    lo = np.searchsorted(prefix, ends[hi] - target, side="right") - 1
+    lo = np.minimum(lo, hi)
+    best = int(np.argmin(hi - lo))
+    return int(lo[best]), int(hi[best]) + 1
 
 
 def measure_overshoot(
@@ -181,7 +194,16 @@ def measure_shock_increase(
     if overshoot < 0.0:
         raise ValueError("overshoot must be non-negative")
     values = solution.values
-    window = front_window(values)
+    return _shock_increase(values, front_window(values), overshoot, growth_constant)
+
+
+def _shock_increase(
+    values: np.ndarray,
+    window: tuple[int, int] | None,
+    overshoot: float,
+    growth_constant: float,
+) -> float:
+    """:func:`measure_shock_increase` on an already computed front window."""
     if window is None:
         return 0.0
     lo, hi = window
@@ -240,10 +262,13 @@ def run_simulation(
 
         window = front_window(current.values)
         overshoot = measure_overshoot(current.values, config.high, window)
-        increase = measure_shock_increase(current, overshoot, growth)
+        increase = _shock_increase(current.values, window, overshoot, growth)
 
-        dt = choose_dt(current, config.problem, config.cfl_target, max_dt=remaining)
-        ctx = StepContext.for_solution(current, dt, config.cfl_target)
+        widths = CellGeometry.from_mesh(current.mesh).widths
+        dt = choose_dt(
+            current, config.problem, config.cfl_target, max_dt=remaining, cell_widths=widths
+        )
+        ctx = StepContext(dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 
         vals = advanced.values

@@ -146,14 +146,25 @@ class _GuardScan:
         )
 
 
-def _scan_guarded(
-    old: GridSolution, proposed_nodes: np.ndarray, growth_constant: float
-) -> _GuardScan:
-    """Score interior proposed nodes that landed next to an old extreme."""
-    x_old = old.mesh.nodes
-    extreme = np.zeros(x_old.size, dtype=bool)
+def _extreme_mask(old: GridSolution) -> np.ndarray:
+    """Boolean mask of the strict interior extremes of the old solution."""
+    extreme = np.zeros(len(old), dtype=bool)
     for i, _kind in detect_extremes(old.values):
         extreme[i] = True
+    return extreme
+
+
+def _scan_guarded(
+    x_old: np.ndarray,
+    extreme: np.ndarray,
+    proposed_nodes: np.ndarray,
+    growth_constant: float,
+) -> _GuardScan:
+    """Score interior proposed nodes that landed next to an old extreme.
+
+    ``x_old`` are the old mesh nodes and ``extreme`` flags the old
+    solution's strict interior extremes on them.
+    """
     if not extreme.any():
         return _GuardScan.empty()
 
@@ -206,7 +217,9 @@ def extreme_proximity_scores(
     """
     if growth_constant < 0.0:
         raise ValueError("growth_constant must be non-negative")
-    scan = _scan_guarded(old, proposed.nodes, growth_constant)
+    scan = _scan_guarded(
+        old.mesh.nodes, _extreme_mask(old), proposed.nodes, growth_constant
+    )
     return scan.indices, scan.cells, scan.scores
 
 
@@ -238,14 +251,19 @@ def enforce_extreme_guard(
     capped at the midpoint between the node and that endpoint. If a round
     breaks the mesh ordering the coordinates are sorted before rescoring;
     sorting that still leaves duplicate coordinates is fatal.
+
+    The old solution is fixed, so its extremes are found once per call and
+    every round rescores against them.
     """
+    x_old = old.mesh.nodes
+    extreme = _extreme_mask(old)
     nodes = proposed.nodes.copy()
     a = nodes[0]
     b = nodes[-1]
     eps = params.nudge_factor
     corrections = 0
     for rounds in range(params.max_rounds + 1):
-        scan = _scan_guarded(old, nodes, params.growth_constant)
+        scan = _scan_guarded(x_old, extreme, nodes, params.growth_constant)
         if scan.scores.size == 0 or scan.scores.max() < 1.0:
             return Mesh(nodes), ExtremeGuardReport(scan.scores, rounds, corrections)
         if rounds == params.max_rounds:

@@ -96,17 +96,20 @@ def choose_dt(
     cfl_target: float,
     max_dt: float = np.inf,
     speed_floor: float = 1e-12,
+    cell_widths: np.ndarray | None = None,
 ) -> float:
     """Largest dt meeting the CFL target on the current mesh, capped at max_dt.
 
     The wave speed is the max of |f'| over the nodal values, floored to
-    keep dt finite near rest states.
+    keep dt finite near rest states. ``cell_widths`` are the mesh's cell
+    widths when the caller already has them; they are derived otherwise.
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
-    widths = CellGeometry.from_mesh(solution.mesh).widths
+    if cell_widths is None:
+        cell_widths = CellGeometry.from_mesh(solution.mesh).widths
     speed = max(float(np.max(np.abs(problem.dflux(solution.values)))), speed_floor)
-    dt = cfl_target * float(widths.min()) / speed
+    dt = cfl_target * float(cell_widths.min()) / speed
     return min(dt, max_dt)
 
 

@@ -36,3 +36,30 @@ def forward_time_centered_space(u, dt, h, flux):
     out = u.copy()
     out[1:-1] = u[1:-1] - (dt / (2.0 * h)) * (f[2:] - f[:-2])
     return out
+
+
+def front_window_two_pointer(values, fraction=0.9):
+    """Smallest node window carrying ``fraction`` of the TV, by a two-pointer scan.
+
+    Grows the window one jump at a time on the right and drops jumps on the
+    left while the rest still carries the target; among windows of minimal
+    length the leftmost one wins.
+    """
+    jumps = np.abs(np.diff(np.asarray(values, dtype=np.float64)))
+    total = float(jumps.sum())
+    if total <= 0.0:
+        return None
+    target = fraction * total
+    best = None
+    acc = 0.0
+    lo = 0
+    for hi in range(jumps.size):
+        acc += jumps[hi]
+        while acc - jumps[lo] >= target and lo < hi:
+            acc -= jumps[lo]
+            lo += 1
+        if acc >= target and (best is None or hi - lo < best[1] - best[0]):
+            best = (lo, hi)
+    if best is None:
+        return None
+    return best[0], best[1] + 1

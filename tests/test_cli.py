@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from shockmesh import SchemeKind, evolution_constant
-from shockmesh.cli import ConfigError, build_run_config, main, parse_config
+import shockmesh.cli as cli
+from shockmesh import GridSolution, GuardConvergenceError, Mesh, SchemeKind, evolution_constant
+from shockmesh.cli import ConfigError, _fmt, _snapshot_lines, build_run_config, main, parse_config
 
 BASE_CONFIG = """\
 # short smoke run
@@ -156,6 +157,29 @@ def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):
     assert (out / "snapshots.csv").exists()
 
 
+def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monkeypatch):
+    real_run = cli.run_simulation
+
+    def failing_run(config, snapshot_hook=None):
+        def hook(step, instant, solution):
+            snapshot_hook(step, instant, solution)
+            if step == 3:
+                raise GuardConvergenceError("scores still reach 1.5")
+
+        return real_run(config, hook)
+
+    monkeypatch.setattr(cli, "run_simulation", failing_run)
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 4
+    assert "mesh reconstruction failed after step 3" in capsys.readouterr().err
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "remesh_error"
+    assert manifest["steps"] == 3
+    assert manifest["error"] == "scores still reach 1.5"
+    assert manifest["config"]["problem"] == "transport"
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out_a = tmp_path / "a"
@@ -223,6 +247,31 @@ def test_theory_gates_exit_two_without_output(tmp_path, capsys, argv):
     assert main(["theory", *argv, str(out)]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, monkeypatch):
+    real_closed_form = cli.extreme_bound_closed_form
+    monkeypatch.setattr(
+        cli, "extreme_bound_closed_form", lambda p, m, k: 2.0 * real_closed_form(p, m, k)
+    )
+    out = tmp_path / "bounds.csv"
+    argv = ["theory", "--lambda", "0.1", "--c", "1.0", "--m", "1.0", "--kmax", "5"]
+    assert main([*argv, str(out)]) == 4
+    assert not out.exists()
+    assert "closed form mismatch at m=1, k=1" in capsys.readouterr().err
+
+
+def test_snapshot_lines_match_per_value_formatting():
+    mesh = Mesh(np.array([-5e-324, 0.0, 1e-310, 1.0 / 3.0, 2.0**60]))
+    values = np.array([-0.0, 5e-324, -1e300, 0.1, 123456789.123456789])
+    solution = GridSolution(mesh, values)
+    lines = _snapshot_lines([(0, 0.0, solution), (1, 0.1, solution)], 1)
+    expected = ["step,time,node_index,x,u"] + [
+        f"{step},{_fmt(t)},{i},{_fmt(x)},{_fmt(u)}"
+        for step, t in ((0, 0.0), (1, 0.1))
+        for i, (x, u) in enumerate(zip(mesh.nodes, values))
+    ]
+    assert "\n".join(lines).split("\n") == expected
 
 
 def test_tv_series_round_trips_record_floats(tmp_path):

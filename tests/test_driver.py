@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import classical
 from shockmesh import (
     BlowUpError,
     BoundParams,
@@ -67,6 +70,44 @@ def test_front_window_constant_data_is_none():
 def test_front_window_prefers_leftmost_minimal():
     values = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     assert front_window(values, fraction=0.5) == (0, 2)
+
+
+# Multiples of 1/8 up to 4 in magnitude and fractions in multiples of 1/64:
+# every partial sum, the total and the target are exact, so the prefix-sum
+# window must match the two-pointer scan exactly.
+_dyadic_profiles = st.lists(
+    st.integers(-32, 32), min_size=1, max_size=60
+).flatmap(
+    lambda levels: st.lists(
+        st.integers(1, 4), min_size=len(levels), max_size=len(levels)
+    ).map(lambda repeats: np.repeat(np.array(levels) / 8.0, repeats))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_dyadic_profiles, sixty_fourths=st.integers(0, 72))
+def test_front_window_matches_two_pointer_scan(values, sixty_fourths):
+    fraction = sixty_fourths / 64.0
+    expected = classical.front_window_two_pointer(values, fraction)
+    assert front_window(values, fraction) == expected
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.9, 1.0, 1.5])
+def test_front_window_matches_two_pointer_scan_on_fixed_cases(fraction):
+    # constant data, zero jumps around a single step, runs of equal-length
+    # windows, and a profile too short to have any jump
+    cases = [
+        np.full(7, 0.375),
+        np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]),
+        np.array([0.0, 1.0, 1.0, 2.0, 2.0, 3.0]),
+        np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]),
+        np.array([1.0, 1.0, 0.5, 0.5, 0.5, 0.0, 0.0]),
+        np.array([0.0, 0.5, 0.0, 0.5, 0.0, 0.5]),
+        np.array([2.0]),
+    ]
+    for values in cases:
+        expected = classical.front_window_two_pointer(values, fraction)
+        assert front_window(values, fraction) == expected
 
 
 def test_measure_overshoot():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shockmesh.remesh as remesh
 from shockmesh import (
     EstimatorParams,
     ExtremeGuardParams,
@@ -91,6 +92,22 @@ def test_enforcement_three_round_walk():
     assert report.rounds == 3
     assert report.corrections == 3
     assert report.max_score < 1.0
+
+
+def test_enforcement_detects_old_extremes_once_per_call(monkeypatch):
+    calls = []
+    original = remesh.detect_extremes
+
+    def counting(values):
+        calls.append(1)
+        return original(values)
+
+    monkeypatch.setattr(remesh, "detect_extremes", counting)
+    old = peaked_solution()
+    proposed = Mesh(np.array([-1.0, 0.5, 2.0]))
+    _, report = enforce_extreme_guard(old, proposed, ExtremeGuardParams(growth_constant=1.0))
+    assert report.rounds == 3
+    assert len(calls) == 1
 
 
 def test_enforcement_no_op_when_already_safe():

@@ -64,6 +64,14 @@ def test_choose_dt_matches_cfl_definition():
     assert cfl_number(sol, prob, dt) == pytest.approx(0.4, rel=1e-12)
 
 
+def test_choose_dt_uses_given_cell_widths():
+    sol = GridSolution(Mesh(np.array([0.0, 0.1, 0.35, 0.7, 1.0])), np.linspace(1.0, 0.0, 5))
+    prob = burgers_problem()
+    widths = CellGeometry.from_mesh(sol.mesh).widths
+    assert choose_dt(sol, prob, 0.4, cell_widths=widths) == choose_dt(sol, prob, 0.4)
+    assert choose_dt(sol, prob, 0.4, cell_widths=2.0 * widths) == 2.0 * choose_dt(sol, prob, 0.4)
+
+
 def test_choose_dt_flat_state_clipped_by_max_dt():
     mesh = Mesh.uniform(9)
     sol = GridSolution(mesh, np.zeros(9))
