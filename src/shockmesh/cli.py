@@ -49,13 +49,14 @@ _PROBLEMS = {
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
+# The optional keys default to the defaults of the fields they set.
 _CONFIG_DEFAULTS = {
-    "adaptive": True,
-    "epsilon": 1e-15,
-    "pw": 0.9,
-    "eps_corr": 0.2,
-    "remesh_reps": 1,
-    "x0": 0.5,
+    "adaptive": RunConfig.adaptive,
+    "epsilon": EstimatorParams.floor,
+    "pw": EstimatorParams.power,
+    "eps_corr": ExtremeGuardParams.nudge_factor,
+    "remesh_reps": RunConfig.remesh_repetitions,
+    "x0": RunConfig.jump_position,
 }
 _REQUIRED_KEYS = ("problem", "scheme", "n", "cfl", "t_final")
 

@@ -88,6 +88,8 @@ class RunConfig:
             raise ValueError("final_time must be non-negative and finite")
         if self.remesh_repetitions < 1:
             raise ValueError("remesh_repetitions must be at least 1")
+        if not (0.0 < self.jump_position < 1.0):
+            raise ValueError("jump_position must lie in the open interval (0, 1)")
 
     @property
     def growth_constant(self) -> float:

@@ -12,6 +12,8 @@ total variation.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,36 +118,6 @@ def piecewise_linear_sample(
     return out
 
 
-@dataclass(frozen=True)
-class _GuardScan:
-    """Per-affected-node geometry of one scoring pass.
-
-    ``indices`` address the proposed node array; ``near``/``far`` are the
-    violated (nearer) extreme endpoint and the opposite end of the hosting
-    old interval; ``dual`` flags intervals whose both ends are extremes;
-    ``dest_width`` is the width of the old interval on the other side of
-    ``far`` (meaningful only where ``dual``).
-    """
-
-    indices: np.ndarray
-    cells: np.ndarray
-    scores: np.ndarray
-    near: np.ndarray
-    far: np.ndarray
-    width: np.ndarray
-    dual: np.ndarray
-    dest_width: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "_GuardScan":
-        none = np.empty(0)
-        ints = np.empty(0, dtype=np.intp)
-        return cls(
-            ints, ints, none, none, none, none,
-            np.empty(0, dtype=bool), none,
-        )
-
-
 def _extreme_mask(old: GridSolution) -> np.ndarray:
     """Boolean mask of the strict interior extremes of the old solution."""
     extreme = np.zeros(len(old), dtype=bool)
@@ -159,14 +131,16 @@ def _scan_guarded(
     extreme: np.ndarray,
     proposed_nodes: np.ndarray,
     growth_constant: float,
-) -> _GuardScan:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score interior proposed nodes that landed next to an old extreme.
 
     ``x_old`` are the old mesh nodes and ``extreme`` flags the old
-    solution's strict interior extremes on them.
+    solution's strict interior extremes on them. Returns the indices of
+    the affected proposed nodes, their hosting old intervals and scores.
     """
+    none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     if not extreme.any():
-        return _GuardScan.empty()
+        return none
 
     x_new = proposed_nodes[1:-1]
     cell = np.searchsorted(x_old, x_new, side="right") - 1
@@ -175,7 +149,7 @@ def _scan_guarded(
     right_ext = extreme[cell + 1]
     affected = left_ext | right_ext
     if not affected.any():
-        return _GuardScan.empty()
+        return none
 
     sel = np.flatnonzero(affected)
     cell = cell[sel]
@@ -189,17 +163,7 @@ def _scan_guarded(
     # score (the nearer extreme) governs.
     score_from_left = np.where(left_ext[sel], (xr - xj) / width * factor, -np.inf)
     score_from_right = np.where(right_ext[sel], (xj - xl) / width * factor, -np.inf)
-    use_left = score_from_left >= score_from_right
-    scores = np.where(use_left, score_from_left, score_from_right)
-    near = np.where(use_left, xl, xr)
-    far = np.where(use_left, xr, xl)
-    dual = left_ext[sel] & right_ext[sel]
-    # Width of the interval a dual-interval node escapes into; the far end
-    # of a dual interval is an interior node, so the neighbour exists.
-    dest_right = x_old[np.minimum(cell + 2, x_old.size - 1)] - xr
-    dest_left = xl - x_old[np.maximum(cell - 1, 0)]
-    dest_width = np.where(use_left, dest_right, dest_left)
-    return _GuardScan(sel + 1, cell, scores, near, far, width, dual, dest_width)
+    return sel + 1, cell, np.maximum(score_from_left, score_from_right)
 
 
 def extreme_proximity_scores(
@@ -217,10 +181,24 @@ def extreme_proximity_scores(
     """
     if growth_constant < 0.0:
         raise ValueError("growth_constant must be non-negative")
-    scan = _scan_guarded(
+    return _scan_guarded(
         old.mesh.nodes, _extreme_mask(old), proposed.nodes, growth_constant
     )
-    return scan.indices, scan.cells, scan.scores
+
+
+def _sort_after_crossing(nodes: list[float], moved: list[int]) -> list[int]:
+    """Sort ``nodes`` in place and return the new indices of the moved nodes.
+
+    The other nodes were strictly increasing and kept their coordinates, so
+    any coincidence involves a moved node and shows at its first position.
+    """
+    values = [nodes[i] for i in moved]
+    nodes.sort()
+    moved = [bisect_left(nodes, v) for v in values]
+    for i in moved:
+        if nodes[i] == nodes[i + 1]:
+            raise RemeshError("corrections collapsed two nodes onto one point")
+    return moved
 
 
 def enforce_extreme_guard(
@@ -248,62 +226,100 @@ def enforce_extreme_guard(
     lies inside the interval, and overshooting into the neighbouring old
     interval can put the node next to a different extreme and restart the
     correction march there. Moves past a domain endpoint are likewise
-    capped at the midpoint between the node and that endpoint. If a round
-    breaks the mesh ordering the coordinates are sorted before rescoring;
-    sorting that still leaves duplicate coordinates is fatal.
+    capped at the midpoint between the node and that endpoint.
 
-    The old solution is fixed, so its extremes are found once per call and
-    every round rescores against them.
+    Rounds work on the active set. A node's score depends only on its own
+    position, the fixed old mesh and the old extremes (found once per
+    call), so a node that did not move cannot turn non-compliant: one
+    vectorised scan on entry finds the offenders, each round moves and
+    rescores only those, one node at a time, and one vectorised scan on
+    exit gives the report's scores. The scalar rules repeat the
+    vectorised arithmetic operation for operation, so every coordinate
+    and score is bitwise what a full rescan per round would give.
+
+    Only pairs next to a moved node can break the mesh ordering. If one
+    does, all coordinates are sorted; a moved coordinate that equals its
+    sorted successor is fatal, and otherwise each moved node is found at
+    its new index by bisection and rescored there.
     """
     x_old = old.mesh.nodes
     extreme = _extreme_mask(old)
-    nodes = proposed.nodes.copy()
+    indices, _cells, scores = _scan_guarded(
+        x_old, extreme, proposed.nodes, params.growth_constant
+    )
+    xo = x_old.tolist()
+    ext = extreme.tolist()
+    last_cell = len(xo) - 2
+    factor = 1.0 + 3.0 * params.growth_constant
+    nodes = proposed.nodes.tolist()
     a = nodes[0]
     b = nodes[-1]
     eps = params.nudge_factor
+    pending = indices[scores >= 1.0].tolist()
+    rounds = 0
     corrections = 0
-    for rounds in range(params.max_rounds + 1):
-        scan = _scan_guarded(x_old, extreme, nodes, params.growth_constant)
-        if scan.scores.size == 0 or scan.scores.max() < 1.0:
-            return Mesh(nodes), ExtremeGuardReport(scan.scores, rounds, corrections)
+    while True:
+        # Rescore the nodes that may offend: (index, score, cell, whether
+        # the cell's left end is the extreme that governs).
+        active = []
+        for i in pending:
+            xj = nodes[i]
+            cell = min(max(bisect_right(xo, xj) - 1, 0), last_cell)
+            left_ext = ext[cell]
+            right_ext = ext[cell + 1]
+            if not (left_ext or right_ext):
+                continue
+            xl = xo[cell]
+            xr = xo[cell + 1]
+            width = xr - xl
+            from_left = (xr - xj) / width * factor if left_ext else -math.inf
+            from_right = (xj - xl) / width * factor if right_ext else -math.inf
+            use_left = from_left >= from_right
+            score = from_left if use_left else from_right
+            if score >= 1.0:
+                active.append((i, score, cell, use_left))
+        if not active:
+            break
         if rounds == params.max_rounds:
             raise GuardConvergenceError(
-                f"proximity scores still reach {scan.scores.max():.6g} "
+                f"proximity scores still reach {max(site[1] for site in active):.6g} "
                 f"after {params.max_rounds} correction rounds"
             )
-        bad = scan.scores >= 1.0
-        idx = scan.indices[bad]
-        xj = nodes[idx]
-        near = scan.near[bad]
-        far = scan.far[bad]
-        width = scan.width[bad]
-        direction = np.sign(far - near)
-        span = np.abs(xj - near)
-        step = eps * np.maximum(span, 0.5 * width)
-        moved = xj + direction * step
-        # The compliant sliver always lies inside the hosting interval (a
-        # node at the far end scores 0), so a geometric step never profits
-        # from crossing it; overshooting into the next old interval can
-        # restart the march against a different extreme there. Cap such
-        # moves at the midpoint toward the far end; each capped round
-        # halves the remaining gap, so the score still decays geometrically.
-        overshoot = direction * (moved - far) >= 0.0
-        moved = np.where(overshoot, 0.5 * (xj + far), moved)
-        dual = scan.dual[bad]
-        if np.any(dual):
-            # Entry depth shrinks with the node's distance from the nearer
-            # extreme, keeping simultaneous hoppers distinct.
-            depth = eps * scan.dest_width[bad] * (1.0 - 0.5 * span / width)
-            moved = np.where(dual, far + direction * depth, moved)
-        moved = np.where(moved >= b, 0.5 * (xj + b), moved)
-        moved = np.where(moved <= a, 0.5 * (xj + a), moved)
-        nodes[idx] = moved
-        corrections += int(idx.size)
-        if not np.all(np.diff(nodes) > 0.0):
-            nodes.sort()
-            if np.any(np.diff(nodes) == 0.0):
-                raise RemeshError("corrections collapsed two nodes onto one point")
-    raise AssertionError("unreachable")
+        pending = []
+        for i, _score, cell, use_left in active:
+            xj = nodes[i]
+            xl = xo[cell]
+            xr = xo[cell + 1]
+            width = xr - xl
+            near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
+            span = abs(xj - near)
+            moved = xj + direction * (eps * max(span, 0.5 * width))
+            if direction * (moved - far) >= 0.0:
+                moved = 0.5 * (xj + far)
+            if ext[cell] and ext[cell + 1]:
+                # The far end of a dual interval is an extreme, hence an
+                # interior node, so the interval beyond it exists. Entry
+                # depth shrinks with the node's distance from the nearer
+                # extreme, keeping simultaneous hoppers distinct.
+                dest = xo[cell + 2] - xr if use_left else xl - xo[cell - 1]
+                moved = far + direction * (eps * dest * (1.0 - 0.5 * span / width))
+            if moved >= b:
+                moved = 0.5 * (xj + b)
+            if moved <= a:
+                moved = 0.5 * (xj + a)
+            nodes[i] = moved
+            pending.append(i)
+        rounds += 1
+        corrections += len(pending)
+        for i in pending:
+            if not nodes[i - 1] < nodes[i] < nodes[i + 1]:
+                pending = _sort_after_crossing(nodes, pending)
+                break
+    if rounds:
+        _indices, _cells, scores = _scan_guarded(
+            x_old, extreme, np.array(nodes), params.growth_constant
+        )
+    return Mesh(np.array(nodes)), ExtremeGuardReport(scores, rounds, corrections)
 
 
 def interpolate_update(old: GridSolution, new_mesh: Mesh) -> GridSolution:

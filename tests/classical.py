@@ -63,3 +63,84 @@ def front_window_two_pointer(values, fraction=0.9):
     if best is None:
         return None
     return best[0], best[1] + 1
+
+
+def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None):
+    """The extreme guard's nudge loop with one vectorised rescan of every node per round.
+
+    ``x_old`` are the old mesh nodes, ``extreme`` the mask of the old
+    solution's strict interior extremes on them. Returns the corrected
+    nodes, the final scores of the affected nodes (in node order), the
+    rounds and the corrections. Raises the package's
+    ``GuardConvergenceError`` once ``max_rounds`` rounds leave a score of 1
+    or more, and ``RemeshError`` when sorting after a round leaves two equal
+    coordinates. When ``paths`` is a set, the names of the rare branches taken
+    ("dual" for a hop out of an interval flanked by two extremes, "sort" for
+    a round that broke the ordering) are added to it.
+    """
+    from shockmesh.remesh import GuardConvergenceError, RemeshError
+
+    factor = 1.0 + 3.0 * params.growth_constant
+    nodes = np.array(proposed_nodes, dtype=np.float64)
+    a = nodes[0]
+    b = nodes[-1]
+    eps = params.nudge_factor
+    corrections = 0
+    for rounds in range(params.max_rounds + 1):
+        x_new = nodes[1:-1]
+        cell = np.clip(np.searchsorted(x_old, x_new, side="right") - 1, 0, x_old.size - 2)
+        sel = np.flatnonzero(extreme[cell] | extreme[cell + 1])
+        cell = cell[sel]
+        left_ext = extreme[cell]
+        right_ext = extreme[cell + 1]
+        xj = x_new[sel]
+        xl = x_old[cell]
+        xr = x_old[cell + 1]
+        width = xr - xl
+        score_from_left = np.where(left_ext, (xr - xj) / width * factor, -np.inf)
+        score_from_right = np.where(right_ext, (xj - xl) / width * factor, -np.inf)
+        use_left = score_from_left >= score_from_right
+        scores = np.where(use_left, score_from_left, score_from_right)
+        if scores.size == 0 or scores.max() < 1.0:
+            return nodes, scores, rounds, corrections
+        if rounds == params.max_rounds:
+            raise GuardConvergenceError(
+                f"proximity scores still reach {scores.max():.6g} "
+                f"after {params.max_rounds} correction rounds"
+            )
+        near = np.where(use_left, xl, xr)
+        far = np.where(use_left, xr, xl)
+        dest_right = x_old[np.minimum(cell + 2, x_old.size - 1)] - xr
+        dest_left = xl - x_old[np.maximum(cell - 1, 0)]
+        dest_width = np.where(use_left, dest_right, dest_left)
+        dual = left_ext & right_ext
+
+        bad = scores >= 1.0
+        idx = sel[bad] + 1
+        xj = nodes[idx]
+        near = near[bad]
+        far = far[bad]
+        width = width[bad]
+        direction = np.sign(far - near)
+        span = np.abs(xj - near)
+        step = eps * np.maximum(span, 0.5 * width)
+        moved = xj + direction * step
+        overshoot = direction * (moved - far) >= 0.0
+        moved = np.where(overshoot, 0.5 * (xj + far), moved)
+        dual = dual[bad]
+        if np.any(dual):
+            if paths is not None:
+                paths.add("dual")
+            depth = eps * dest_width[bad] * (1.0 - 0.5 * span / width)
+            moved = np.where(dual, far + direction * depth, moved)
+        moved = np.where(moved >= b, 0.5 * (xj + b), moved)
+        moved = np.where(moved <= a, 0.5 * (xj + a), moved)
+        nodes[idx] = moved
+        corrections += int(idx.size)
+        if not np.all(np.diff(nodes) > 0.0):
+            if paths is not None:
+                paths.add("sort")
+            nodes.sort()
+            if np.any(np.diff(nodes) == 0.0):
+                raise RemeshError("corrections collapsed two nodes onto one point")
+    raise AssertionError("unreachable")

@@ -131,6 +131,15 @@ def test_simulate_parse_error_exits_two_without_outputs(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0", ["0", "1", "-0.1", "1.5", "nan"])
+def test_simulate_jump_outside_the_domain_exits_two_without_outputs(tmp_path, capsys, x0):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"x0 = {x0}\n")
+    out = tmp_path / "never"
+    assert main(["simulate", str(cfg), str(out)]) == 2
+    assert not out.exists()
+    assert "jump_position" in capsys.readouterr().err
+
+
 def test_simulate_missing_config_exits_two(tmp_path, capsys):
     out = tmp_path / "never"
     assert main(["simulate", str(tmp_path / "absent.cfg"), str(out)]) == 2

@@ -52,6 +52,12 @@ def test_run_config_validation():
         small_config(remesh_repetitions=0)
 
 
+@pytest.mark.parametrize("x0", [0.0, 1.0, -0.1, 1.5, float("nan")])
+def test_run_config_rejects_jump_outside_the_domain(x0):
+    with pytest.raises(ValueError, match="jump_position"):
+        small_config(jump_position=x0)
+
+
 def test_growth_constant_and_default_guard():
     cfg = small_config(scheme=SchemeKind.MACCORMACK, cfl_target=0.4)
     assert cfg.growth_constant == evolution_constant(SchemeKind.MACCORMACK, 0.4)

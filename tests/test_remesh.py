@@ -1,10 +1,13 @@
 """Extreme-proximity guard, solution transfer and the smoothing identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classical
 import shockmesh.remesh as remesh
 from shockmesh import (
     EstimatorParams,
@@ -12,6 +15,7 @@ from shockmesh import (
     GridSolution,
     GuardConvergenceError,
     Mesh,
+    RemeshError,
     enforce_extreme_guard,
     extreme_clipping_residuals,
     extreme_proximity_scores,
@@ -20,8 +24,11 @@ from shockmesh import (
     make_jump_initial,
     piecewise_linear_sample,
     remesh_step,
+    run_simulation,
     total_variation,
 )
+from shockmesh.cli import build_run_config, parse_config
+from shockmesh.grid import detect_extremes
 
 
 def peaked_solution():
@@ -162,6 +169,148 @@ def test_enforcement_round_cap_raises():
     params = ExtremeGuardParams(growth_constant=1.0, max_rounds=1)
     with pytest.raises(GuardConvergenceError):
         enforce_extreme_guard(old, proposed, params)
+
+
+def guard_outcome(guard, *args):
+    """What a guard call gives: its result, or the RemeshError it raised."""
+    try:
+        return guard(*args)
+    except RemeshError as exc:
+        return exc
+
+
+def assert_guard_matches_full_rescan(old, proposed, params, paths=None):
+    """Run the guard and the full-rescan reference; demand bitwise agreement."""
+    extreme = np.zeros(len(old), dtype=bool)
+    extreme[[i for i, _kind in detect_extremes(old.values)]] = True
+    expected = guard_outcome(
+        classical.extreme_guard_full_rescan,
+        old.mesh.nodes, extreme, proposed.nodes, params, paths,
+    )
+    got = guard_outcome(enforce_extreme_guard, old, proposed, params)
+    if isinstance(expected, RemeshError):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        return expected
+    assert not isinstance(got, RemeshError), got
+    nodes, scores, rounds, corrections = expected
+    mesh, report = got
+    assert mesh.nodes.tobytes() == nodes.tobytes()
+    assert report.scores.tobytes() == scores.tobytes()
+    assert report.rounds == rounds
+    assert report.corrections == corrections
+    return expected
+
+
+@st.composite
+def guard_cases(draw):
+    """Old meshes with stepped data (so adjacent extremes occur) and crowded proposals."""
+    n_old = draw(st.integers(3, 9))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n_old - 1, max_size=n_old - 1))
+    x_old = np.concatenate(([0.0], np.cumsum(gaps)))
+    levels = draw(st.lists(st.integers(0, 3), min_size=n_old, max_size=n_old))
+    old = GridSolution(Mesh(x_old), np.asarray(levels, dtype=np.float64))
+    picks = st.tuples(
+        st.integers(0, n_old - 2),
+        st.one_of(
+            st.sampled_from([0.0, 0.5]),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1e-3),
+            st.floats(0.999, 1.0),
+        ),
+        st.integers(0, 3),
+    )
+    interior = []
+    for cell, t, ulps in draw(st.lists(picks, min_size=1, max_size=24)):
+        x = x_old[cell] + t * (x_old[cell + 1] - x_old[cell])
+        for _ in range(ulps):
+            x = math.nextafter(x, math.inf)
+        interior.append(x)
+    a, b = x_old[0], x_old[-1]
+    interior = np.unique([x for x in interior if a < x < b])
+    proposed = Mesh(np.concatenate(([a], interior, [b])))
+    params = ExtremeGuardParams(
+        growth_constant=draw(st.floats(0.0, 3.0)),
+        nudge_factor=draw(st.floats(0.01, 0.9)),
+        max_rounds=draw(st.integers(1, 12)),
+    )
+    return old, proposed, params
+
+
+def test_guard_matches_full_rescan_reference():
+    seen = set()
+
+    @given(guard_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        outcome = assert_guard_matches_full_rescan(*case, paths=seen)
+        if isinstance(outcome, RemeshError):
+            seen.add(type(outcome).__name__)
+
+    check()
+    assert {"sort", "dual", "RemeshError", "GuardConvergenceError"} <= seen
+
+
+def rare_guard_cases():
+    zigzag = GridSolution(Mesh(np.arange(5.0)), np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
+    spike = GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 0.0, 1.0, 0.0]))
+    peak = GridSolution(Mesh(np.array([0.0, 1.9, 2.9])), np.array([0.0, 1.0, 0.0]))
+    return {
+        # midpoint of an interval between two extremes: equal scores, the
+        # left end governs
+        "tie": (zigzag, Mesh(np.array([0.0, 1.5, 4.0])), ExtremeGuardParams(1.0)),
+        # a node stepping left past its compliant predecessor
+        "crossing": (
+            spike,
+            Mesh(np.array([0.0, 1.47, 1.9, 3.0])),
+            ExtremeGuardParams(1.0 / 3.0, nudge_factor=0.9),
+        ),
+        # two nodes one ulp apart that round onto one point
+        "collapse": (
+            peak,
+            Mesh(np.array([0.0, 1.900000001, 1.9000000010000002, 2.9])),
+            ExtremeGuardParams(1.0),
+        ),
+        "round_cap": (
+            peaked_solution(),
+            Mesh(np.array([-1.0, 0.5, 2.0])),
+            ExtremeGuardParams(1.0, max_rounds=1),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(rare_guard_cases()))
+def test_guard_matches_full_rescan_on_rare_geometries(name):
+    paths = set()
+    outcome = assert_guard_matches_full_rescan(*rare_guard_cases()[name], paths=paths)
+    expected = {
+        "tie": {"dual"},
+        "crossing": {"sort"},
+        "collapse": {"sort", RemeshError},
+        "round_cap": {GuardConvergenceError},
+    }[name]
+    assert paths | {type(outcome)} >= expected
+
+
+def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
+    # Richtmyer on Burgers at N = 1600 with the jump at this x0 collapses
+    # two nodes after step 176; every guard call up to and including the
+    # failing one must agree with the full-rescan reference.
+    run_settings = parse_config(
+        "problem = burgers\nscheme = richtmyer\nn = 1600\ncfl = 0.5\n"
+        "t_final = 0.006\nx0 = 0.42883192254392677\n"
+    )
+    calls = []
+
+    def checked(old, proposed, params):
+        calls.append(assert_guard_matches_full_rescan(old, proposed, params))
+        return enforce_extreme_guard(old, proposed, params)
+
+    monkeypatch.setattr(remesh, "enforce_extreme_guard", checked)
+    with pytest.raises(RemeshError, match="collapsed two nodes"):
+        run_simulation(build_run_config(run_settings))
+    assert len(calls) == 177
+    assert isinstance(calls[-1], RemeshError)
 
 
 def test_guard_params_validation():
