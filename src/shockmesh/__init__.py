@@ -6,130 +6,23 @@ guard), transfers the solution by clipping linear interpolation and then
 advances it with a dispersive or anti-diffusive 3-point scheme; the
 ``bounds`` module machine-checks the matching total-variation-increase
 bound chain.
+
+Each layer module's ``__all__`` is its public API; the package re-exports
+their union. The command-line harness, ``shockmesh.cli``, is not imported.
 """
 
-from .bounds import (
-    BoundParams,
-    ExtremeBoundTable,
-    extreme_bound_closed_form,
-    extreme_bound_table,
-    increase_contribution,
-    total_increase_contribution,
-    tv_increase_bound_from_contributions,
-    tv_increase_bound_from_extremes,
-    uniform_extreme_bound,
-)
-from .driver import (
-    BlowUpError,
-    RunConfig,
-    RunResult,
-    StepRecord,
-    front_window,
-    measure_overshoot,
-    measure_shock_increase,
-    run_simulation,
-)
-from .grid import (
-    CellGeometry,
-    GridSolution,
-    Mesh,
-    Problem,
-    burgers_problem,
-    detect_extremes,
-    make_jump_initial,
-    total_variation,
-    transport_problem,
-    validate_flux_convexity,
-)
-from .monitor import (
-    EstimatorParams,
-    MonitorTable,
-    build_monitor,
-    discrete_curvature,
-    equidistribute,
-    regularize_curvature,
-)
-from .remesh import (
-    ExtremeGuardParams,
-    ExtremeGuardReport,
-    GuardConvergenceError,
-    RemeshError,
-    enforce_extreme_guard,
-    extreme_clipping_residuals,
-    extreme_proximity_scores,
-    interpolate_update,
-    interpolation_smoothing_residual,
-    piecewise_linear_sample,
-    remesh_step,
-)
-from .schemes import (
-    SchemeKind,
-    StepContext,
-    cfl_number,
-    choose_dt,
-    evolution_constant,
-    evolution_ratio,
-    ftcs_step,
-    maccormack_step,
-    richtmyer_step,
-    scheme_step,
-)
+from . import bounds, driver, grid, monitor, remesh, schemes
+from .bounds import *  # noqa: F401,F403
+from .driver import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .monitor import *  # noqa: F401,F403
+from .remesh import *  # noqa: F401,F403
+from .schemes import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundParams",
-    "ExtremeBoundTable",
-    "extreme_bound_closed_form",
-    "extreme_bound_table",
-    "increase_contribution",
-    "total_increase_contribution",
-    "tv_increase_bound_from_contributions",
-    "tv_increase_bound_from_extremes",
-    "uniform_extreme_bound",
-    "BlowUpError",
-    "RunConfig",
-    "RunResult",
-    "StepRecord",
-    "front_window",
-    "measure_overshoot",
-    "measure_shock_increase",
-    "run_simulation",
-    "CellGeometry",
-    "GridSolution",
-    "Mesh",
-    "Problem",
-    "burgers_problem",
-    "detect_extremes",
-    "make_jump_initial",
-    "total_variation",
-    "transport_problem",
-    "validate_flux_convexity",
-    "EstimatorParams",
-    "MonitorTable",
-    "build_monitor",
-    "discrete_curvature",
-    "equidistribute",
-    "regularize_curvature",
-    "ExtremeGuardParams",
-    "ExtremeGuardReport",
-    "GuardConvergenceError",
-    "RemeshError",
-    "enforce_extreme_guard",
-    "extreme_clipping_residuals",
-    "extreme_proximity_scores",
-    "interpolate_update",
-    "interpolation_smoothing_residual",
-    "piecewise_linear_sample",
-    "remesh_step",
-    "SchemeKind",
-    "StepContext",
-    "cfl_number",
-    "choose_dt",
-    "evolution_constant",
-    "evolution_ratio",
-    "ftcs_step",
-    "maccormack_step",
-    "richtmyer_step",
-    "scheme_step",
+    name
+    for module in (bounds, driver, grid, monitor, remesh, schemes)
+    for name in module.__all__
 ]

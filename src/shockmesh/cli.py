@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    _MAX_BINOMIAL_STEP,
     BoundParams,
     extreme_bound_closed_form,
     extreme_bound_table,
@@ -312,28 +313,19 @@ def _check_table_identities(
 def cmd_theory(
     clip_factor: float, growth: float, scale: float, last_step: int, out_path: str
 ) -> int:
-    if not (0.0 < clip_factor < 1.0 and growth > 0.0 and scale > 0.0):
-        print(
-            "error: need 0 < lambda < 1, c > 0 and m > 0", file=sys.stderr
+    try:
+        if not 1 <= last_step <= _MAX_BINOMIAL_STEP:
+            raise ValueError(f"kmax must lie in [1, {_MAX_BINOMIAL_STEP}]")
+        params = BoundParams(
+            clip_factor=clip_factor,
+            growth_constant=growth,
+            variation_scale=scale,
+            increases=np.full(last_step, growth * scale),
         )
+        params.require_coupling()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not 1 <= last_step <= 60:
-        print("error: kmax must lie in [1, 60]", file=sys.stderr)
-        return 2
-    coupling = clip_factor * (1.0 + 3.0 * growth)
-    if not coupling < 1.0:
-        print(
-            f"error: coupling violated: lambda*(1+3c) = {coupling:.6g} >= 1",
-            file=sys.stderr,
-        )
-        return 2
-
-    params = BoundParams(
-        clip_factor=clip_factor,
-        growth_constant=growth,
-        variation_scale=scale,
-        increases=np.full(last_step, growth * scale),
-    )
     table = extreme_bound_table(params, last_step)
     closed = np.zeros((last_step + 1, last_step + 1))
     for k in range(1, last_step + 1):
@@ -413,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         dest="last_step",
         type=int,
         required=True,
-        help="number of steps to tabulate (at most 60)",
+        help=f"number of steps to tabulate (at most {_MAX_BINOMIAL_STEP})",
     )
     theory.add_argument("out", help="output CSV path")
 

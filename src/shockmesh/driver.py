@@ -178,13 +178,18 @@ def measure_overshoot(
 
 
 def measure_shock_increase(
-    solution: GridSolution, overshoot: float, growth_constant: float
+    values: np.ndarray,
+    window: tuple[int, int] | None,
+    overshoot: float,
+    growth_constant: float,
 ) -> float:
     """Fresh oscillation size fed into the bound chain this step.
 
-    Takes the jump from the shock-top node (rightmost maximum inside the
-    front window) to its right neighbour, removes twice the current
-    overshoot, clamps at zero and scales by the growth constant.
+    ``window`` is the front window of ``values`` (see :func:`front_window`),
+    taken the same way as by :func:`measure_overshoot`. Takes the jump from
+    the shock-top node (rightmost maximum inside the front window) to its
+    right neighbour, removes twice the current overshoot, clamps at zero and
+    scales by the growth constant.
 
     The candidate top node only counts as a shock top when the profile
     actually tops out there: at least as high as its left neighbour and
@@ -195,17 +200,6 @@ def measure_shock_increase(
     """
     if overshoot < 0.0:
         raise ValueError("overshoot must be non-negative")
-    values = solution.values
-    return _shock_increase(values, front_window(values), overshoot, growth_constant)
-
-
-def _shock_increase(
-    values: np.ndarray,
-    window: tuple[int, int] | None,
-    overshoot: float,
-    growth_constant: float,
-) -> float:
-    """:func:`measure_shock_increase` on an already computed front window."""
     if window is None:
         return 0.0
     lo, hi = window
@@ -264,7 +258,7 @@ def run_simulation(
 
         window = front_window(current.values)
         overshoot = measure_overshoot(current.values, config.high, window)
-        increase = _shock_increase(current.values, window, overshoot, growth)
+        increase = measure_shock_increase(current.values, window, overshoot, growth)
 
         widths = CellGeometry.from_mesh(current.mesh).widths
         dt = choose_dt(

@@ -19,7 +19,6 @@ __all__ = [
     "Problem",
     "transport_problem",
     "burgers_problem",
-    "validate_flux_convexity",
     "make_jump_initial",
     "total_variation",
     "detect_extremes",
@@ -95,14 +94,13 @@ class GridSolution:
 
 @dataclass(frozen=True)
 class CellGeometry:
-    """Finite-volume cells: interfaces, their widths and centers.
+    """Finite-volume cells: interfaces and their widths.
 
-    Centers sit at interface midpoints by construction, so consecutive
-    centers are always half a width-sum apart. Built from a mesh via
-    :meth:`from_mesh`, which places interfaces at node midpoints and extends
-    one half-gap beyond each endpoint. That extension makes a uniform mesh
-    produce exactly uniform cells, which the schemes rely on to reduce to
-    their classical uniform-mesh stencils without roundoff.
+    Built from a mesh via :meth:`from_mesh`, which places interfaces at node
+    midpoints and extends one half-gap beyond each endpoint. That extension
+    makes a uniform mesh produce exactly uniform cells, which the schemes
+    rely on to reduce to their classical uniform-mesh stencils without
+    roundoff.
     """
 
     interfaces: np.ndarray
@@ -118,10 +116,6 @@ class CellGeometry:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.interfaces)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.interfaces[:-1] + self.interfaces[1:])
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "CellGeometry":
@@ -140,7 +134,7 @@ class Problem:
 
     ``flux`` and ``dflux`` must accept and return numpy arrays. The flux is
     assumed convex and smooth on the range of the data; that is a caller
-    contract, spot-checked by :func:`validate_flux_convexity`.
+    contract the package does not check.
     """
 
     name: str
@@ -164,24 +158,6 @@ def burgers_problem() -> Problem:
         flux=lambda u: 0.5 * np.square(np.asarray(u, dtype=np.float64)),
         dflux=lambda u: np.asarray(u, dtype=np.float64),
     )
-
-
-def validate_flux_convexity(
-    problem: Problem, lo: float, hi: float, samples: int = 33, tol: float = 1e-12
-) -> None:
-    """Spot-check that f' is nondecreasing on [lo, hi].
-
-    Raises ValueError when a sampled derivative decreases by more than
-    ``tol`` times the derivative scale. A constant derivative (linear flux)
-    passes.
-    """
-    if not hi >= lo:
-        raise ValueError("empty sampling range")
-    probe = np.linspace(lo, hi, samples)
-    slopes = np.asarray(problem.dflux(probe), dtype=np.float64)
-    scale = max(float(np.max(np.abs(slopes))), 1.0)
-    if np.any(np.diff(slopes) < -tol * scale):
-        raise ValueError(f"flux of problem '{problem.name}' is not convex on [{lo}, {hi}]")
 
 
 def make_jump_initial(

@@ -24,6 +24,8 @@ __all__ = [
     "equidistribute",
 ]
 
+_MASS_FLOOR = 1e-9
+
 
 @dataclass(frozen=True)
 class EstimatorParams:
@@ -133,12 +135,10 @@ class MonitorTable:
         return np.interp(np.asarray(x, dtype=np.float64), self.nodes, self.cumulative)
 
 
-def build_monitor(
-    mesh: Mesh, scores: np.ndarray, mass_floor: float = 1e-9
-) -> MonitorTable:
+def build_monitor(mesh: Mesh, scores: np.ndarray) -> MonitorTable:
     """Integrate positive node scores with the trapezoid rule.
 
-    Each segment additionally receives ``mass_floor`` times the mean mass
+    Each segment additionally receives ``_MASS_FLOOR`` times the mean mass
     density, spread in proportion to its width. Without that extra mass, a
     hot spot (corner curvature saturates near 2 per unit jump) can make
     far-field masses smaller than one float ulp of the running total,
@@ -152,12 +152,10 @@ def build_monitor(
         raise ValueError("score count must match mesh size")
     if not np.all(arr > 0.0):
         raise ValueError("monitor scores must be strictly positive")
-    if not 0.0 <= mass_floor < 1.0:
-        raise ValueError("mass_floor must lie in [0, 1)")
-    segment_mass = 0.5 * mesh.gaps * (arr[:-1] + arr[1:])
-    if mass_floor > 0.0:
-        density = segment_mass.sum() / (mesh.b - mesh.a)
-        segment_mass = segment_mass + (mass_floor * density) * mesh.gaps
+    gaps = mesh.gaps
+    segment_mass = 0.5 * gaps * (arr[:-1] + arr[1:])
+    density = segment_mass.sum() / (mesh.b - mesh.a)
+    segment_mass = segment_mass + (_MASS_FLOOR * density) * gaps
     cumulative = np.empty(arr.size)
     cumulative[0] = 0.0
     np.cumsum(segment_mass, out=cumulative[1:])

@@ -33,7 +33,6 @@ __all__ = [
     "ExtremeGuardParams",
     "ExtremeGuardReport",
     "piecewise_linear_sample",
-    "extreme_proximity_scores",
     "enforce_extreme_guard",
     "interpolate_update",
     "interpolation_smoothing_residual",
@@ -135,8 +134,13 @@ def _scan_guarded(
     """Score interior proposed nodes that landed next to an old extreme.
 
     ``x_old`` are the old mesh nodes and ``extreme`` flags the old
-    solution's strict interior extremes on them. Returns the indices of
-    the affected proposed nodes, their hosting old intervals and scores.
+    solution's strict interior extremes on them. A node in an old interval
+    with a strict extreme at one end scores (1 + 3 * growth_constant) times
+    its relative distance from the non-extreme end: 1 + 3C on top of the
+    extreme, 0 at the far end. When both ends are extremes the larger score
+    wins. Returns the indices of the affected proposed nodes, the indices
+    of the old intervals hosting them, and their scores; a score below 1
+    means the node is safely inside the far sliver of its interval.
     """
     none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     if not extreme.any():
@@ -164,26 +168,6 @@ def _scan_guarded(
     score_from_left = np.where(left_ext[sel], (xr - xj) / width * factor, -np.inf)
     score_from_right = np.where(right_ext[sel], (xj - xl) / width * factor, -np.inf)
     return sel + 1, cell, np.maximum(score_from_left, score_from_right)
-
-
-def extreme_proximity_scores(
-    old: GridSolution, proposed: Mesh, growth_constant: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Proximity scores of new interior nodes to flanking old extremes.
-
-    A node in an old interval with a strict extreme at one end scores
-    (1 + 3 * growth_constant) times its relative distance from the
-    non-extreme end: 1 + 3C on top of the extreme, 0 at the far end. When
-    both ends are extremes the larger score wins. Returns the indices of
-    the affected proposed nodes, the indices of the old intervals hosting
-    them, and their scores; a score below 1 means the node is safely
-    inside the far sliver of its interval.
-    """
-    if growth_constant < 0.0:
-        raise ValueError("growth_constant must be non-negative")
-    return _scan_guarded(
-        old.mesh.nodes, _extreme_mask(old), proposed.nodes, growth_constant
-    )
 
 
 def _sort_after_crossing(nodes: list[float], moved: list[int]) -> list[int]:

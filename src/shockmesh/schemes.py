@@ -23,13 +23,15 @@ __all__ = [
     "StepContext",
     "evolution_constant",
     "choose_dt",
-    "cfl_number",
     "richtmyer_step",
     "maccormack_step",
     "ftcs_step",
     "scheme_step",
     "evolution_ratio",
 ]
+
+_SPEED_FLOOR = 1e-12
+_DENOM_FLOOR = 1e-14
 
 
 class SchemeKind(enum.Enum):
@@ -83,32 +85,25 @@ def evolution_constant(kind: SchemeKind, cfl: float) -> float:
     raise ValueError(f"unknown scheme kind: {kind!r}")
 
 
-def cfl_number(solution: GridSolution, problem: Problem, dt: float) -> float:
-    """CFL number dt * max|f'(u)| / min cell width for the given state."""
-    widths = CellGeometry.from_mesh(solution.mesh).widths
-    speed = float(np.max(np.abs(problem.dflux(solution.values))))
-    return dt * speed / float(widths.min())
-
-
 def choose_dt(
     solution: GridSolution,
     problem: Problem,
     cfl_target: float,
     max_dt: float = np.inf,
-    speed_floor: float = 1e-12,
     cell_widths: np.ndarray | None = None,
 ) -> float:
     """Largest dt meeting the CFL target on the current mesh, capped at max_dt.
 
-    The wave speed is the max of |f'| over the nodal values, floored to
-    keep dt finite near rest states. ``cell_widths`` are the mesh's cell
-    widths when the caller already has them; they are derived otherwise.
+    The wave speed is the max of |f'| over the nodal values, floored at
+    ``_SPEED_FLOOR`` to keep dt finite near rest states. ``cell_widths``
+    are the mesh's cell widths when the caller already has them; they are
+    derived otherwise.
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
     if cell_widths is None:
         cell_widths = CellGeometry.from_mesh(solution.mesh).widths
-    speed = max(float(np.max(np.abs(problem.dflux(solution.values)))), speed_floor)
+    speed = max(float(np.max(np.abs(problem.dflux(solution.values)))), _SPEED_FLOOR)
     dt = cfl_target * float(cell_widths.min()) / speed
     return min(dt, max_dt)
 
@@ -200,14 +195,12 @@ def scheme_step(
     return _STEPPERS[kind](solution, ctx, problem)
 
 
-def evolution_ratio(
-    before: np.ndarray, after: np.ndarray, denom_floor: float = 1e-14
-) -> float:
+def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
     """Largest observed per-node amplification of one evolution step.
 
     For each interior node the change |after - before| is divided by the
     larger of the two neighbouring input differences; nodes whose
-    denominator falls below ``denom_floor`` are skipped. The max over the
+    denominator falls below ``_DENOM_FLOOR`` are skipped. The max over the
     remaining nodes is comparable against the scheme's evolution constant,
     and the schemes' worst-case constants are honored without tolerance.
 
@@ -228,7 +221,7 @@ def evolution_ratio(
     change = np.maximum(change - noise, 0.0)
     diff = np.abs(np.diff(before))
     denom = np.maximum(diff[:-1], diff[1:])
-    keep = denom >= denom_floor
+    keep = denom >= _DENOM_FLOOR
     if not np.any(keep):
         return 0.0
     return float(np.max(change[keep] / denom[keep]))

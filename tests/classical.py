@@ -1,8 +1,11 @@
-"""Textbook uniform-grid stencils, written independently of the package.
+"""Reference forms and helpers that only the tests use.
 
-These are the reference forms the non-uniform schemes must reduce to when
-every cell has the same width h. Interior nodes only; boundary values stay
-fixed.
+The textbook uniform-grid stencils are written independently of the
+package: they are the forms the non-uniform schemes must reduce to when
+every cell has the same width h (interior nodes only; boundary values stay
+fixed). The scan references are plain loops that the package's vectorised
+front window and active-set guard must match. The last two helpers measure
+a state's CFL number and spot-check a flux for convexity.
 """
 
 import numpy as np
@@ -144,3 +147,28 @@ def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None
             if np.any(np.diff(nodes) == 0.0):
                 raise RemeshError("corrections collapsed two nodes onto one point")
     raise AssertionError("unreachable")
+
+
+def cfl_number(solution, problem, dt):
+    """CFL number dt * max|f'(u)| / min cell width for the given state."""
+    from shockmesh import CellGeometry
+
+    widths = CellGeometry.from_mesh(solution.mesh).widths
+    speed = float(np.max(np.abs(problem.dflux(solution.values))))
+    return dt * speed / float(widths.min())
+
+
+def validate_flux_convexity(problem, lo, hi, samples=33, tol=1e-12):
+    """Spot-check that f' is nondecreasing on [lo, hi].
+
+    Raises ValueError when a sampled derivative decreases by more than
+    ``tol`` times the derivative scale. A constant derivative (linear flux)
+    passes.
+    """
+    if not hi >= lo:
+        raise ValueError("empty sampling range")
+    probe = np.linspace(lo, hi, samples)
+    slopes = np.asarray(problem.dflux(probe), dtype=np.float64)
+    scale = max(float(np.max(np.abs(slopes))), 1.0)
+    if np.any(np.diff(slopes) < -tol * scale):
+        raise ValueError(f"flux of problem '{problem.name}' is not convex on [{lo}, {hi}]")

@@ -189,6 +189,26 @@ def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monk
     assert manifest["config"]["problem"] == "transport"
 
 
+def test_simulate_guard_collapse_exits_four_with_manifest(tmp_path, capsys):
+    # A real collapse of the extreme guard near the default jump. ROADMAP
+    # item 1 (a one-pass guard projection) should turn this into a completed
+    # run; the change that does so updates this test.
+    text = BASE_CONFIG.replace("problem = transport", "problem = burgers")
+    text = text.replace("n = 40", "n = 100")
+    text = text.replace("cfl = 0.5", "cfl = 0.3")
+    text = text.replace("t_final = 0.02", "t_final = 0.3")
+    text += "x0 = 0.493453680228697\n"
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, text)), str(out)]) == 4
+    assert "mesh reconstruction failed after step 49" in capsys.readouterr().err
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "remesh_error"
+    assert manifest["steps"] == 49
+    assert manifest["error"] == "corrections collapsed two nodes onto one point"
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out_a = tmp_path / "a"
@@ -249,6 +269,11 @@ def test_theory_is_deterministic(tmp_path):
         ["--lambda", "0.0", "--c", "1.0", "--m", "1.0", "--kmax", "10"],
         ["--lambda", "0.1", "--c", "-1.0", "--m", "1.0", "--kmax", "10"],
         ["--lambda", "0.1", "--c", "1.0", "--m", "0.0", "--kmax", "10"],
+        ["--lambda", "0.1", "--c", "1.0", "--m", "inf", "--kmax", "5"],
+        ["--lambda", "0.1", "--c", "1.0", "--m", "nan", "--kmax", "5"],
+        ["--lambda", "0.1", "--c", "inf", "--m", "1.0", "--kmax", "5"],
+        # c*m overflows to inf, so the forcing is not finite
+        ["--lambda", "1e-301", "--c", "1e300", "--m", "1e10", "--kmax", "5"],
     ],
 )
 def test_theory_gates_exit_two_without_output(tmp_path, capsys, argv):

@@ -9,8 +9,6 @@ import classical
 from shockmesh import (
     BlowUpError,
     BoundParams,
-    Mesh,
-    GridSolution,
     RunConfig,
     SchemeKind,
     evolution_constant,
@@ -123,38 +121,33 @@ def test_measure_overshoot():
     assert measure_overshoot(values, 1.0, None) == 0.0
 
 
-def _solution(values):
+def _shock_increase(values, overshoot, growth_constant):
     vals = np.asarray(values, dtype=np.float64)
-    return GridSolution(Mesh.uniform(vals.size), vals)
+    return measure_shock_increase(vals, front_window(vals), overshoot, growth_constant)
 
 
 def test_shock_increase_subtracts_twice_the_overshoot():
-    sol = _solution([0.0, 1.0, 0.2, 0.0])
-    assert measure_shock_increase(sol, 0.1, 0.5) == pytest.approx(0.3, rel=1e-14)
+    assert _shock_increase([0.0, 1.0, 0.2, 0.0], 0.1, 0.5) == pytest.approx(0.3, rel=1e-14)
 
 
 def test_shock_increase_vanishes_when_overshoot_covers_gap():
-    sol = _solution([0.0, 1.0, 0.2, 0.0])
-    assert measure_shock_increase(sol, 0.45, 0.5) == 0.0
+    assert _shock_increase([0.0, 1.0, 0.2, 0.0], 0.45, 0.5) == 0.0
 
 
 def test_shock_increase_plain_gap_when_no_overshoot():
-    sol = _solution([0.0, 1.0, 0.6, 0.0])
-    assert measure_shock_increase(sol, 0.0, 0.5) == pytest.approx(0.2, rel=1e-14)
+    assert _shock_increase([0.0, 1.0, 0.6, 0.0], 0.0, 0.5) == pytest.approx(0.2, rel=1e-14)
 
 
 def test_shock_increase_zero_without_identifiable_top():
     # strictly falling ramp: the window maximum is just the window's left
     # edge partway down the slope, not a shock top
-    sol = _solution([1.0, 0.95, 0.8, 0.5, 0.2, 0.05, 0.0])
-    assert measure_shock_increase(sol, 0.0, 0.5) == 0.0
-    flat = _solution(np.full(12, 0.7))
-    assert measure_shock_increase(flat, 0.0, 0.5) == 0.0
+    assert _shock_increase([1.0, 0.95, 0.8, 0.5, 0.2, 0.05, 0.0], 0.0, 0.5) == 0.0
+    assert _shock_increase(np.full(12, 0.7), 0.0, 0.5) == 0.0
 
 
 def test_shock_increase_rejects_negative_overshoot():
     with pytest.raises(ValueError):
-        measure_shock_increase(_solution([0.0, 1.0, 0.0]), -0.01, 0.5)
+        _shock_increase([0.0, 1.0, 0.0], -0.01, 0.5)
 
 
 def test_zero_final_time_returns_initial_state_exactly():

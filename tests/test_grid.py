@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import classical
 from shockmesh import (
     CellGeometry,
     GridSolution,
@@ -12,7 +13,6 @@ from shockmesh import (
     make_jump_initial,
     total_variation,
     transport_problem,
-    validate_flux_convexity,
 )
 
 
@@ -80,13 +80,13 @@ def test_problem_fluxes():
 
 
 def test_flux_convexity_validator():
-    validate_flux_convexity(transport_problem(), -2.0, 2.0)
-    validate_flux_convexity(burgers_problem(), -2.0, 2.0)
+    classical.validate_flux_convexity(transport_problem(), -2.0, 2.0)
+    classical.validate_flux_convexity(burgers_problem(), -2.0, 2.0)
     from shockmesh import Problem
 
     concave = Problem("concave", lambda u: -0.5 * np.square(u), lambda u: -u)
     with pytest.raises(ValueError):
-        validate_flux_convexity(concave, -2.0, 2.0)
+        classical.validate_flux_convexity(concave, -2.0, 2.0)
 
 
 def test_jump_initial_condition():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shockmesh.monitor as monitor
 from shockmesh import (
     EstimatorParams,
     GridSolution,
@@ -88,10 +89,11 @@ def test_monitor_table_contracts():
     assert float(table.value_at(np.array([0.25]))[0]) == pytest.approx(0.25)
 
 
-def test_build_monitor_trapezoid_total():
+def test_build_monitor_trapezoid_total(monkeypatch):
+    monkeypatch.setattr(monitor, "_MASS_FLOOR", 0.0)
     mesh = Mesh(np.array([0.0, 0.25, 1.0]))
     scores = np.array([2.0, 4.0, 4.0])
-    table = build_monitor(mesh, scores, mass_floor=0.0)
+    table = build_monitor(mesh, scores)
     # 0.25*(2+4)/2 + 0.75*(4+4)/2 = 0.75 + 3.0
     assert table.cumulative == pytest.approx([0.0, 0.75, 3.75], rel=1e-15)
 
@@ -113,11 +115,12 @@ def test_equidistribute_constant_scores_gives_uniform_mesh():
     assert out.nodes[0] == 0.0 and out.nodes[-1] == 1.0
 
 
-def test_equidistribute_hits_exact_breakpoints_bitwise():
+def test_equidistribute_hits_exact_breakpoints_bitwise(monkeypatch):
     # cumulative [0, 1, 2, 4]; the halfway level 2.0 lands exactly on the
     # node 0.5 with no rounding when no mass floor perturbs the masses
+    monkeypatch.setattr(monitor, "_MASS_FLOOR", 0.0)
     mesh = Mesh(np.array([0.0, 0.25, 0.5, 1.0]))
-    table = build_monitor(mesh, np.array([4.0, 4.0, 4.0, 4.0]), mass_floor=0.0)
+    table = build_monitor(mesh, np.array([4.0, 4.0, 4.0, 4.0]))
     out = equidistribute(table, 3)
     assert out.nodes[1] == 0.5
 

@@ -1,0 +1,89 @@
+"""The package's public surface: one export list per layer module."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import shockmesh
+from shockmesh import bounds, driver, grid, monitor, remesh, schemes
+
+PUBLIC_NAMES = [
+    "BlowUpError",
+    "BoundParams",
+    "CellGeometry",
+    "EstimatorParams",
+    "ExtremeBoundTable",
+    "ExtremeGuardParams",
+    "ExtremeGuardReport",
+    "GridSolution",
+    "GuardConvergenceError",
+    "Mesh",
+    "MonitorTable",
+    "Problem",
+    "RemeshError",
+    "RunConfig",
+    "RunResult",
+    "SchemeKind",
+    "StepContext",
+    "StepRecord",
+    "build_monitor",
+    "burgers_problem",
+    "choose_dt",
+    "detect_extremes",
+    "discrete_curvature",
+    "enforce_extreme_guard",
+    "equidistribute",
+    "evolution_constant",
+    "evolution_ratio",
+    "extreme_bound_closed_form",
+    "extreme_bound_table",
+    "extreme_clipping_residuals",
+    "front_window",
+    "ftcs_step",
+    "increase_contribution",
+    "interpolate_update",
+    "interpolation_smoothing_residual",
+    "maccormack_step",
+    "make_jump_initial",
+    "measure_overshoot",
+    "measure_shock_increase",
+    "piecewise_linear_sample",
+    "regularize_curvature",
+    "remesh_step",
+    "richtmyer_step",
+    "run_simulation",
+    "scheme_step",
+    "total_increase_contribution",
+    "total_variation",
+    "transport_problem",
+    "tv_increase_bound_from_contributions",
+    "tv_increase_bound_from_extremes",
+    "uniform_extreme_bound",
+]
+
+
+def test_package_exports_the_union_of_the_layer_lists():
+    exported = shockmesh.__all__
+    assert len(exported) == len(set(exported))
+    layers = (bounds, driver, grid, monitor, remesh, schemes)
+    assert set(exported) == {name for module in layers for name in module.__all__}
+    assert sum(len(module.__all__) for module in layers) == len(exported)
+    assert sorted(exported) == PUBLIC_NAMES
+
+
+def test_every_exported_name_resolves():
+    for name in shockmesh.__all__:
+        assert getattr(shockmesh, name) is not None
+
+
+def test_import_leaves_the_cli_unloaded():
+    src = str(Path(shockmesh.__file__).resolve().parent.parent)
+    probe = "import sys, shockmesh; print('shockmesh.cli' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.strip() == "False"

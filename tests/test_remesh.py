@@ -18,7 +18,6 @@ from shockmesh import (
     RemeshError,
     enforce_extreme_guard,
     extreme_clipping_residuals,
-    extreme_proximity_scores,
     interpolate_update,
     interpolation_smoothing_residual,
     make_jump_initial,
@@ -63,10 +62,17 @@ def test_sample_stays_in_segment_range(ys, queries):
     assert np.all(out <= ys.max() + 1e-15)
 
 
+def proximity_scores(old, proposed, growth_constant):
+    """Indices, hosting old intervals and scores of the guarded proposed nodes."""
+    return remesh._scan_guarded(
+        old.mesh.nodes, remesh._extreme_mask(old), proposed.nodes, growth_constant
+    )
+
+
 def test_proximity_scores_monotone_data_empty():
     mesh = Mesh.uniform(5)
     sol = GridSolution(mesh, np.linspace(0.0, 1.0, 5))
-    idx, cells, scores = extreme_proximity_scores(sol, Mesh.uniform(7), 1.0)
+    idx, cells, scores = proximity_scores(sol, Mesh.uniform(7), 1.0)
     assert idx.size == 0 and cells.size == 0 and scores.size == 0
 
 
@@ -75,7 +81,7 @@ def test_proximity_score_formula():
     # score = 0.5 * (1 + 3) = 2
     old = peaked_solution()
     proposed = Mesh(np.array([-1.0, 0.5, 2.0]))
-    idx, cells, scores = extreme_proximity_scores(old, proposed, 1.0)
+    idx, cells, scores = proximity_scores(old, proposed, 1.0)
     assert idx.tolist() == [1]
     assert cells.tolist() == [1]
     assert scores.tolist() == [2.0]
@@ -84,7 +90,7 @@ def test_proximity_score_formula():
 def test_node_on_extreme_scores_full_factor():
     old = peaked_solution()
     proposed = Mesh(np.array([-1.0, 0.0, 2.0]))
-    _idx, _cells, scores = extreme_proximity_scores(old, proposed, 1.0)
+    _idx, _cells, scores = proximity_scores(old, proposed, 1.0)
     assert scores.tolist() == [4.0]  # 1 + 3C exactly
 
 

@@ -11,7 +11,6 @@ from shockmesh import (
     SchemeKind,
     StepContext,
     burgers_problem,
-    cfl_number,
     choose_dt,
     evolution_constant,
     evolution_ratio,
@@ -61,7 +60,7 @@ def test_choose_dt_matches_cfl_definition():
     widths = CellGeometry.from_mesh(sol.mesh).widths
     speed = np.max(np.abs(prob.dflux(sol.values)))
     assert dt == pytest.approx(0.4 * widths.min() / speed, rel=1e-15)
-    assert cfl_number(sol, prob, dt) == pytest.approx(0.4, rel=1e-12)
+    assert classical.cfl_number(sol, prob, dt) == pytest.approx(0.4, rel=1e-12)
 
 
 def test_choose_dt_uses_given_cell_widths():
