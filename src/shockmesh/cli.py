@@ -189,12 +189,13 @@ def _snapshot_lines(
 
 def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list[str]:
     lines = ["step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"]
+    # One %-format per row: '%.17g' % x is the text of _fmt(x).
+    row = "%d" + ",%.17g" * 8
     for rec in records:
-        lines.append(
-            f"{rec.step},{_fmt(rec.time)},{_fmt(rec.tv)},{_fmt(rec.tvi)},"
-            f"{_fmt(rec.evolution_ratio)},{_fmt(rec.max_score)},"
-            f"{_fmt(rec.mean_score)},{_fmt(rec.increase)},{_fmt(rec.overshoot)}"
-        )
+        lines.append(row % (
+            rec.step, rec.time, rec.tv, rec.tvi, rec.evolution_ratio,
+            rec.max_score, rec.mean_score, rec.increase, rec.overshoot,
+        ))
     return lines
 
 

@@ -10,6 +10,7 @@ a blow-up error that keeps the partial history.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,6 +21,7 @@ from .grid import (
     GridSolution,
     Mesh,
     Problem,
+    _trusted,
     make_jump_initial,
     total_variation,
 )
@@ -150,19 +152,20 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
     every partial sum is exact (dyadic data of modest size) the result is
     exactly that of the two-pointer scan.
     """
-    jumps = np.abs(np.diff(np.asarray(values, dtype=np.float64)))
+    values = np.asarray(values, dtype=np.float64)
+    jumps = np.abs(values[1:] - values[:-1])
     total = float(jumps.sum())
     if total <= 0.0:
         return None
     target = fraction * total
-    prefix = np.concatenate(([0.0], np.cumsum(jumps)))
-    ends = prefix[1:]
-    hi = np.flatnonzero(ends >= target)
+    prefix = np.empty(values.size)
+    prefix[0] = 0.0
+    ends = jumps.cumsum(out=prefix[1:])
+    hi = (ends >= target).nonzero()[0]
     if hi.size == 0:
         return None
-    lo = np.searchsorted(prefix, ends[hi] - target, side="right") - 1
-    lo = np.minimum(lo, hi)
-    best = int(np.argmin(hi - lo))
+    lo = np.minimum(prefix.searchsorted(ends[hi] - target, side="right") - 1, hi)
+    best = int((hi - lo).argmin())
     return int(lo[best]), int(hi[best]) + 1
 
 
@@ -173,7 +176,7 @@ def measure_overshoot(
     if window is None:
         return 0.0
     lo, hi = window
-    peak = float(np.max(values[lo : hi + 1]))
+    peak = float(values[lo : hi + 1].max())
     return max(peak - reference_high, 0.0)
 
 
@@ -204,7 +207,7 @@ def measure_shock_increase(
         return 0.0
     lo, hi = window
     segment = values[lo : hi + 1]
-    top_local = int(np.flatnonzero(segment == segment.max())[-1])
+    top_local = int((segment == segment.max()).nonzero()[0][-1])
     top = lo + top_local
     if top + 1 >= values.size:
         return 0.0
@@ -264,11 +267,15 @@ def run_simulation(
         dt = choose_dt(
             current, config.problem, config.cfl_target, max_dt=remaining, cell_widths=widths
         )
-        ctx = StepContext(dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
+        # dt = cfl * min(width) / speed, so a positive dt also means
+        # positive cell widths.
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        ctx = _trusted(StepContext, dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 
         vals = advanced.values
-        if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _MAGNITUDE_LIMIT:
+        if not np.isfinite(vals).all() or np.abs(vals).max() > _MAGNITUDE_LIMIT:
             raise BlowUpError(step, records, current)
 
         ratio = evolution_ratio(current.values, advanced.values)
@@ -278,7 +285,8 @@ def run_simulation(
         elapsed = config.final_time - remaining
         tv = total_variation(advanced.values)
         records.append(
-            StepRecord(
+            _trusted(
+                StepRecord,
                 step=step,
                 time=elapsed,
                 tv=tv,

@@ -29,9 +29,30 @@ def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def _trusted(cls, **fields):
+    """Build a frozen dataclass without running ``__post_init__``.
+
+    For objects built inside a step from fields that the step already
+    guarantees; public construction keeps its full validation. Fields are
+    set one by one, as the dataclass ``__init__`` does: filling
+    ``__dict__`` instead gives every instance a dict of its own, which the
+    retained snapshots of a long run pay for in peak memory.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _interval_index(knots: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index i of the knot interval [knots[i], knots[i + 1]) holding each x,
+    clamped to the first and the last interval."""
+    return np.minimum(np.maximum(knots.searchsorted(x, side="right") - 1, 0), knots.size - 2)
 
 
 @dataclass(frozen=True)
@@ -44,7 +65,7 @@ class Mesh:
         nodes = _as_float_array(self.nodes, "nodes")
         if nodes.size < 2:
             raise ValueError("a mesh needs at least two nodes")
-        if not np.all(np.diff(nodes) > 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("mesh nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
 
@@ -59,7 +80,8 @@ class Mesh:
     @property
     def gaps(self) -> np.ndarray:
         """Distances between consecutive nodes, length N-1."""
-        return np.diff(self.nodes)
+        nodes = self.nodes
+        return nodes[1:] - nodes[:-1]
 
     def __len__(self) -> int:
         return self.nodes.size
@@ -100,7 +122,9 @@ class CellGeometry:
     midpoints and extends one half-gap beyond each endpoint. That extension
     makes a uniform mesh produce exactly uniform cells, which the schemes
     rely on to reduce to their classical uniform-mesh stencils without
-    roundoff.
+    roundoff. ``from_mesh`` skips the public checks: midpoints of a valid
+    mesh increase, unless two of them round together, and the step loop's
+    check of a positive dt catches a zero width.
     """
 
     interfaces: np.ndarray
@@ -109,23 +133,23 @@ class CellGeometry:
         interfaces = _as_float_array(self.interfaces, "interfaces")
         if interfaces.size < 2:
             raise ValueError("cell geometry needs at least two interfaces")
-        if not np.all(np.diff(interfaces) > 0.0):
+        if not (interfaces[1:] > interfaces[:-1]).all():
             raise ValueError("cell interfaces must be strictly increasing")
         object.__setattr__(self, "interfaces", interfaces)
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.interfaces)
+        interfaces = self.interfaces
+        return interfaces[1:] - interfaces[:-1]
 
     @classmethod
     def from_mesh(cls, mesh: Mesh) -> "CellGeometry":
         nodes = mesh.nodes
-        gaps = mesh.gaps
         interfaces = np.empty(nodes.size + 1)
         interfaces[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
-        interfaces[0] = nodes[0] - 0.5 * gaps[0]
-        interfaces[-1] = nodes[-1] + 0.5 * gaps[-1]
-        return cls(interfaces)
+        interfaces[0] = nodes[0] - 0.5 * (nodes[1] - nodes[0])
+        interfaces[-1] = nodes[-1] + 0.5 * (nodes[-1] - nodes[-2])
+        return _trusted(cls, interfaces=interfaces)
 
 
 @dataclass(frozen=True)
@@ -175,7 +199,7 @@ def total_variation(values: np.ndarray) -> float:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         return 0.0
-    return float(np.sum(np.abs(np.diff(arr))))
+    return float(np.abs(arr[1:] - arr[:-1]).sum())
 
 
 def detect_extremes(values: np.ndarray) -> list[tuple[int, str]]:
@@ -194,6 +218,6 @@ def detect_extremes(values: np.ndarray) -> list[tuple[int, str]]:
     is_max = (mid > left) & (mid > right)
     is_min = (mid < left) & (mid < right)
     out: list[tuple[int, str]] = []
-    for idx in np.nonzero(is_max | is_min)[0]:
-        out.append((int(idx) + 1, "max" if is_max[idx] else "min"))
+    for idx in (is_max | is_min).nonzero()[0].tolist():
+        out.append((idx + 1, "max" if is_max[idx] else "min"))
     return out

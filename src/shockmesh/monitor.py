@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, _as_float_array
+from .grid import GridSolution, Mesh, _as_float_array, _interval_index, _trusted
 
 __all__ = [
     "EstimatorParams",
@@ -78,7 +78,7 @@ def discrete_curvature(solution: GridSolution) -> np.ndarray:
         (1.0 + slope_left**2) * (1.0 + slope_right**2) * (1.0 + slope_chord**2)
     )
     interior = (2.0 / span) * np.abs(slope_left - slope_right) / denom
-    scores = np.empty_like(u)
+    scores = np.empty(u.size)
     scores[1:-1] = interior
     scores[0] = interior[0]
     scores[-1] = interior[-1]
@@ -119,9 +119,9 @@ class MonitorTable:
             raise ValueError("monitor needs at least two nodes")
         if cumulative[0] != 0.0:
             raise ValueError("cumulative must start at exactly 0")
-        if not np.all(np.diff(cumulative) > 0.0):
+        if not (cumulative[1:] > cumulative[:-1]).all():
             raise ValueError("cumulative must be strictly increasing")
-        if not np.all(np.diff(nodes) > 0.0):
+        if not (nodes[1:] > nodes[:-1]).all():
             raise ValueError("monitor nodes must be strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "cumulative", cumulative)
@@ -145,21 +145,26 @@ def build_monitor(mesh: Mesh, scores: np.ndarray) -> MonitorTable:
     stalling the cumulative table. Spreading it by width adds the same
     scalar to every score, so score-proportional masses stay proportional
     and constant data still yields an exactly uniform mesh on any input
-    mesh.
+    mesh. The table is built without the public checks, apart from the
+    strict increase of ``cumulative``, which the valid mesh and positive
+    scores do not guarantee and which equidistribution divides by.
     """
     arr = _as_float_array(scores, "scores")
-    if arr.size != len(mesh):
+    nodes = mesh.nodes
+    if arr.size != nodes.size:
         raise ValueError("score count must match mesh size")
-    if not np.all(arr > 0.0):
+    if not (arr > 0.0).all():
         raise ValueError("monitor scores must be strictly positive")
-    gaps = mesh.gaps
+    gaps = nodes[1:] - nodes[:-1]
     segment_mass = 0.5 * gaps * (arr[:-1] + arr[1:])
-    density = segment_mass.sum() / (mesh.b - mesh.a)
+    density = segment_mass.sum() / (nodes[-1] - nodes[0])
     segment_mass = segment_mass + (_MASS_FLOOR * density) * gaps
     cumulative = np.empty(arr.size)
     cumulative[0] = 0.0
-    np.cumsum(segment_mass, out=cumulative[1:])
-    return MonitorTable(mesh.nodes, cumulative)
+    segment_mass.cumsum(out=cumulative[1:])
+    if not (cumulative[1:] > cumulative[:-1]).all():
+        raise ValueError("cumulative must be strictly increasing")
+    return _trusted(MonitorTable, nodes=nodes, cumulative=cumulative)
 
 
 def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
@@ -168,15 +173,15 @@ def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
     Endpoints are pinned to the monitor's domain ends. Interior nodes are
     found by inverting the piecewise-linear cumulative table at the target
     levels k * total / (n - 1); a level that hits a table breakpoint exactly
-    yields that breakpoint's coordinate exactly.
+    yields that breakpoint's coordinate exactly. The mesh is built without
+    the public checks: the extreme guard checks the corrected mesh.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
     cum = monitor.cumulative
     src = monitor.nodes
-    levels = (monitor.total / (n - 1)) * np.arange(1, n - 1, dtype=np.float64)
-    seg = np.searchsorted(cum, levels, side="right") - 1
-    seg = np.clip(seg, 0, src.size - 2)
+    levels = (float(cum[-1]) / (n - 1)) * np.arange(1, n - 1, dtype=np.float64)
+    seg = _interval_index(cum, levels)
     left_mass = cum[seg]
     t = (levels - left_mass) / (cum[seg + 1] - left_mass)
     interior = src[seg] + t * (src[seg + 1] - src[seg])
@@ -185,4 +190,4 @@ def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
     nodes[0] = src[0]
     nodes[-1] = src[-1]
     nodes[1:-1] = interior
-    return Mesh(nodes)
+    return _trusted(Mesh, nodes=nodes)

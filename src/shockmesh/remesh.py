@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, detect_extremes
+from .grid import GridSolution, Mesh, _interval_index, _trusted, detect_extremes
 from .monitor import (
     EstimatorParams,
     build_monitor,
@@ -100,26 +100,24 @@ def piecewise_linear_sample(
     local data. Queries must lie inside [xs[0], xs[-1]].
     """
     x_new = np.asarray(x_new, dtype=np.float64)
-    idx = np.searchsorted(xs, x_new, side="right") - 1
-    idx = np.clip(idx, 0, xs.size - 2)
-    gap = xs[idx + 1] - xs[idx]
-    t = (x_new - xs[idx]) / gap
-    out = ys[idx] + t * (ys[idx + 1] - ys[idx])
-    lo = np.minimum(ys[idx], ys[idx + 1])
-    hi = np.maximum(ys[idx], ys[idx + 1])
-    out = np.minimum(np.maximum(out, lo), hi)
-    exact_left = x_new == xs[idx]
-    if np.any(exact_left):
-        out = np.where(exact_left, ys[idx], out)
-    exact_right = x_new == xs[idx + 1]
-    if np.any(exact_right):
-        out = np.where(exact_right, ys[idx + 1], out)
+    idx = _interval_index(xs, x_new)
+    x_left = xs[idx]
+    x_right = xs[idx + 1]
+    left = ys[idx]
+    right = ys[idx + 1]
+    t = (x_new - x_left) / (x_right - x_left)
+    out = left + t * (right - left)
+    out = np.minimum(np.maximum(out, np.minimum(left, right)), np.maximum(left, right))
+    exact_left = x_new == x_left
+    out[exact_left] = left[exact_left]
+    exact_right = x_new == x_right
+    out[exact_right] = right[exact_right]
     return out
 
 
 def _extreme_mask(old: GridSolution) -> np.ndarray:
     """Boolean mask of the strict interior extremes of the old solution."""
-    extreme = np.zeros(len(old), dtype=bool)
+    extreme = np.zeros(old.values.size, dtype=bool)
     for i, _kind in detect_extremes(old.values):
         extreme[i] = True
     return extreme
@@ -147,15 +145,13 @@ def _scan_guarded(
         return none
 
     x_new = proposed_nodes[1:-1]
-    cell = np.searchsorted(x_old, x_new, side="right") - 1
-    cell = np.clip(cell, 0, x_old.size - 2)
+    cell = _interval_index(x_old, x_new)
     left_ext = extreme[cell]
     right_ext = extreme[cell + 1]
-    affected = left_ext | right_ext
-    if not affected.any():
+    sel = (left_ext | right_ext).nonzero()[0]
+    if not sel.size:
         return none
 
-    sel = np.flatnonzero(affected)
     cell = cell[sel]
     xj = x_new[sel]
     xl = x_old[cell]
@@ -225,12 +221,19 @@ def enforce_extreme_guard(
     does, all coordinates are sorted; a moved coordinate that equals its
     sorted successor is fatal, and otherwise each moved node is found at
     its new index by bisection and rescored there.
+
+    When no node offends, the proposed nodes are the output. Either way
+    the output is checked once: nodes that are not finite and strictly
+    increasing raise ``RemeshError``.
     """
     x_old = old.mesh.nodes
     extreme = _extreme_mask(old)
     indices, _cells, scores = _scan_guarded(
         x_old, extreme, proposed.nodes, params.growth_constant
     )
+    pending = indices[scores >= 1.0].tolist()
+    if not pending:
+        return _checked_mesh(proposed.nodes), ExtremeGuardReport(scores, 0, 0)
     xo = x_old.tolist()
     ext = extreme.tolist()
     last_cell = len(xo) - 2
@@ -239,7 +242,6 @@ def enforce_extreme_guard(
     a = nodes[0]
     b = nodes[-1]
     eps = params.nudge_factor
-    pending = indices[scores >= 1.0].tolist()
     rounds = 0
     corrections = 0
     while True:
@@ -299,11 +301,16 @@ def enforce_extreme_guard(
             if not nodes[i - 1] < nodes[i] < nodes[i + 1]:
                 pending = _sort_after_crossing(nodes, pending)
                 break
-    if rounds:
-        _indices, _cells, scores = _scan_guarded(
-            x_old, extreme, np.array(nodes), params.growth_constant
-        )
-    return Mesh(np.array(nodes)), ExtremeGuardReport(scores, rounds, corrections)
+    x_new = np.array(nodes)
+    _indices, _cells, scores = _scan_guarded(x_old, extreme, x_new, params.growth_constant)
+    return _checked_mesh(x_new), ExtremeGuardReport(scores, rounds, corrections)
+
+
+def _checked_mesh(nodes: np.ndarray) -> Mesh:
+    """The guard's output mesh, after the step's one check of its nodes."""
+    if not (np.isfinite(nodes).all() and (nodes[1:] > nodes[:-1]).all()):
+        raise RemeshError("reconstructed mesh is not finite and strictly increasing")
+    return _trusted(Mesh, nodes=nodes)
 
 
 def interpolate_update(old: GridSolution, new_mesh: Mesh) -> GridSolution:
@@ -314,10 +321,12 @@ def interpolate_update(old: GridSolution, new_mesh: Mesh) -> GridSolution:
     range of its source segment, so the transfer never raises the maximum,
     lowers the minimum, or increases total variation.
     """
-    if new_mesh.a != old.mesh.a or new_mesh.b != old.mesh.b:
+    new_nodes = new_mesh.nodes
+    old_nodes = old.mesh.nodes
+    if new_nodes[0] != old_nodes[0] or new_nodes[-1] != old_nodes[-1]:
         raise ValueError("new mesh must span the same interval as the old mesh")
-    values = piecewise_linear_sample(old.mesh.nodes, old.values, new_mesh.nodes)
-    return GridSolution(new_mesh, values)
+    values = piecewise_linear_sample(old_nodes, old.values, new_nodes)
+    return _trusted(GridSolution, mesh=new_mesh, values=values)
 
 
 def interpolation_smoothing_residual(
@@ -409,6 +418,6 @@ def remesh_step(
     """
     scores = regularize_curvature(discrete_curvature(old), estimator)
     monitor = build_monitor(old.mesh, scores)
-    proposed = equidistribute(monitor, len(old.mesh))
+    proposed = equidistribute(monitor, old.mesh.nodes.size)
     corrected, report = enforce_extreme_guard(old, proposed, guard)
     return interpolate_update(old, corrected), report

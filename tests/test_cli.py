@@ -6,8 +6,25 @@ import numpy as np
 import pytest
 
 import shockmesh.cli as cli
-from shockmesh import GridSolution, GuardConvergenceError, Mesh, SchemeKind, evolution_constant
-from shockmesh.cli import ConfigError, _fmt, _snapshot_lines, build_run_config, main, parse_config
+import shockmesh.remesh as remesh
+from shockmesh import (
+    GridSolution,
+    GuardConvergenceError,
+    Mesh,
+    SchemeKind,
+    StepRecord,
+    evolution_constant,
+)
+from shockmesh.cli import (
+    ConfigError,
+    _fmt,
+    _snapshot_lines,
+    _tv_series_lines,
+    build_run_config,
+    main,
+    parse_config,
+)
+from shockmesh.grid import _trusted
 
 BASE_CONFIG = """\
 # short smoke run
@@ -209,6 +226,28 @@ def test_simulate_guard_collapse_exits_four_with_manifest(tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
 
+def test_simulate_bad_reconstructed_mesh_exits_four_with_manifest(
+    tmp_path, capsys, monkeypatch
+):
+    real_equidistribute = remesh.equidistribute
+
+    def duplicating(monitor, n):
+        nodes = real_equidistribute(monitor, n).nodes.copy()
+        nodes[5] = nodes[4]
+        return _trusted(Mesh, nodes=nodes)
+
+    monkeypatch.setattr(remesh, "equidistribute", duplicating)
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 4
+    assert "mesh reconstruction failed after step 0" in capsys.readouterr().err
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "remesh_error"
+    assert manifest["steps"] == 0
+    assert manifest["error"] == "reconstructed mesh is not finite and strictly increasing"
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
 def test_simulate_is_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out_a = tmp_path / "a"
@@ -306,6 +345,28 @@ def test_snapshot_lines_match_per_value_formatting():
         for i, (x, u) in enumerate(zip(mesh.nodes, values))
     ]
     assert "\n".join(lines).split("\n") == expected
+
+
+def test_tv_series_lines_match_per_value_formatting():
+    records = [
+        StepRecord(
+            step=7, time=0.1, tv=5e-324, tvi=-0.0, evolution_ratio=1e300,
+            max_score=1.0 / 3.0, mean_score=2.0**60, guard_rounds=3,
+            increase=np.float64(0.7), overshoot=123456789.125,
+        ),
+        StepRecord(
+            step=8, time=1e-310, tv=0.0, tvi=-1e300, evolution_ratio=0.0,
+            max_score=float("inf"), mean_score=float("nan"), guard_rounds=0,
+            increase=-2.5e-17, overshoot=1e22,
+        ),
+    ]
+    expected = ["step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"] + [
+        f"{r.step},{_fmt(r.time)},{_fmt(r.tv)},{_fmt(r.tvi)},"
+        f"{_fmt(r.evolution_ratio)},{_fmt(r.max_score)},"
+        f"{_fmt(r.mean_score)},{_fmt(r.increase)},{_fmt(r.overshoot)}"
+        for r in records
+    ]
+    assert _tv_series_lines(records) == expected
 
 
 def test_tv_series_round_trips_record_floats(tmp_path):

@@ -1,5 +1,7 @@
 """Simulation loop diagnostics, invariants and failure handling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,14 @@ import classical
 from shockmesh import (
     BlowUpError,
     BoundParams,
+    CellGeometry,
+    GridSolution,
+    Mesh,
+    MonitorTable,
+    Problem,
     RunConfig,
     SchemeKind,
+    StepContext,
     evolution_constant,
     front_window,
     make_jump_initial,
@@ -205,6 +213,73 @@ def test_blow_up_keeps_partial_history():
     err = info.value
     assert err.step == len(err.records) + 1
     assert all(r.step == i + 1 for i, r in enumerate(err.records))
+
+
+def test_non_finite_scheme_output_is_a_blow_up():
+    # The steppers return their values unchecked, so a flux that turns NaN
+    # reaches the driver's blow-up check instead of failing a constructor.
+    calls = 0
+
+    def flux(u):
+        nonlocal calls
+        calls += 1
+        u = np.asarray(u, dtype=np.float64)
+        return u * np.nan if calls >= 7 else u
+
+    problem = Problem("nanflux", flux, lambda u: np.ones_like(u))
+    cfg = RunConfig(
+        problem=problem, scheme=SchemeKind.FTCS, n=50, cfl_target=0.5, final_time=0.5
+    )
+    with pytest.raises(BlowUpError) as info:
+        run_simulation(cfg)
+    err = info.value
+    assert err.step == 7
+    assert len(err.records) == 6
+    assert np.isfinite(err.partial.values).all()
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cfl", [0.3, 0.5])
+@pytest.mark.parametrize("pname", ["transport", "burgers"])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_trusted_step_objects_pass_the_public_checks(scheme, pname, cfl):
+    solutions = []
+
+    def keep(step, instant, solution):
+        solutions.append(solution)
+        if step == 20:
+            raise _Stop
+
+    cfg = RunConfig(
+        problem=make_problem(pname), scheme=scheme, n=100, cfl_target=cfl, final_time=1.0
+    )
+    with pytest.raises(_Stop):
+        run_simulation(cfg, keep)
+    assert len(solutions) == 21
+    for solution in solutions:
+        mesh = Mesh(solution.mesh.nodes)
+        GridSolution(mesh, solution.values)
+        CellGeometry(CellGeometry.from_mesh(mesh).interfaces)
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_step_loop_runs_no_public_validation(monkeypatch, adaptive):
+    counts = Counter()
+    for cls in (Mesh, GridSolution, MonitorTable, StepContext, CellGeometry):
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            counts[_name] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    result = run_simulation(
+        small_config(adaptive=adaptive, remesh_repetitions=2, final_time=0.1)
+    )
+    assert result.steps > 5
+    # the initial mesh and the initial data only
+    assert counts == {"Mesh": 1, "GridSolution": 1}
 
 
 def test_grid_runs_complete_and_report_times(grid_runs):

@@ -27,7 +27,7 @@ from shockmesh import (
     total_variation,
 )
 from shockmesh.cli import build_run_config, parse_config
-from shockmesh.grid import detect_extremes
+from shockmesh.grid import _trusted, detect_extremes
 
 
 def peaked_solution():
@@ -167,6 +167,19 @@ def test_enforcement_escapes_interval_flanked_by_two_extremes():
     assert np.all(np.diff(fixed.nodes) > 0.0)
     assert report.max_score < 1.0
     assert report.rounds <= params.max_rounds
+
+
+@pytest.mark.parametrize("tail", [[1.5, 1.5], [np.nan, 1.5]])
+@pytest.mark.parametrize("first", [0.9, 0.5])  # 0.5 offends and is corrected
+def test_enforcement_rejects_a_bad_output_mesh(tail, first):
+    # Proposals come from internal code and skip the public Mesh checks, so
+    # the guard's one check of its output catches a duplicate node or one
+    # that is not finite, with and without correction rounds.
+    old = peaked_solution()
+    proposed = _trusted(Mesh, nodes=np.array([-1.0, first, *tail, 2.0]))
+    params = ExtremeGuardParams(growth_constant=1.0)
+    with pytest.raises(RemeshError, match="not finite and strictly increasing"):
+        enforce_extreme_guard(old, proposed, params)
 
 
 def test_enforcement_round_cap_raises():
