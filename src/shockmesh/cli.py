@@ -240,6 +240,10 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     except RemeshError as exc:
         # The hook has seen the initial state and every completed step.
         steps = snapshots[-1][0]
+        # Only the manifest describes this run: CSVs that an earlier run
+        # left in the directory would pass for its output.
+        for name in ("snapshots.csv", "tv_series.csv"):
+            (out / name).unlink(missing_ok=True)
         _write_manifest(out, {
             "command": "simulate",
             "status": "remesh_error",

@@ -11,6 +11,7 @@ a blow-up error that keeps the partial history.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,14 +83,17 @@ class RunConfig:
     low: float = 0.0
 
     def __post_init__(self):
-        if self.n < 10:
-            raise ValueError("n must be at least 10")
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 10):
+            raise ValueError("n must be an integer of at least 10")
         if not (0.0 < self.cfl_target <= 1.0):
             raise ValueError("cfl_target must lie in (0, 1]")
         if not (np.isfinite(self.final_time) and self.final_time >= 0.0):
             raise ValueError("final_time must be non-negative and finite")
-        if self.remesh_repetitions < 1:
-            raise ValueError("remesh_repetitions must be at least 1")
+        if not (
+            isinstance(self.remesh_repetitions, numbers.Integral)
+            and self.remesh_repetitions >= 1
+        ):
+            raise ValueError("remesh_repetitions must be an integer of at least 1")
         if not (0.0 < self.jump_position < 1.0):
             raise ValueError("jump_position must lie in the open interval (0, 1)")
 

@@ -13,7 +13,8 @@ total variation.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class ExtremeGuardParams:
     ``growth_constant`` is the per-step amplification constant of the
     evolution scheme in use; it sets how wide the guarded sliver around an
     extreme is. ``nudge_factor`` is the relative step of a single correction
-    and ``max_rounds`` bounds the correction sweeps before giving up.
+    and ``max_rounds`` bounds the moves of any one node before giving up.
     """
 
     growth_constant: float
@@ -68,8 +69,8 @@ class ExtremeGuardParams:
             raise ValueError("growth_constant must be non-negative and finite")
         if not (np.isfinite(self.nudge_factor) and 0.0 < self.nudge_factor < 1.0):
             raise ValueError("nudge_factor must lie in (0, 1)")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
+        if not (isinstance(self.max_rounds, numbers.Integral) and self.max_rounds >= 1):
+            raise ValueError("max_rounds must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -166,33 +167,20 @@ def _scan_guarded(
     return sel + 1, cell, np.maximum(score_from_left, score_from_right)
 
 
-def _sort_after_crossing(nodes: list[float], moved: list[int]) -> list[int]:
-    """Sort ``nodes`` in place and return the new indices of the moved nodes.
-
-    The other nodes were strictly increasing and kept their coordinates, so
-    any coincidence involves a moved node and shows at its first position.
-    """
-    values = [nodes[i] for i in moved]
-    nodes.sort()
-    moved = [bisect_left(nodes, v) for v in values]
-    for i in moved:
-        if nodes[i] == nodes[i + 1]:
-            raise RemeshError("corrections collapsed two nodes onto one point")
-    return moved
-
-
 def enforce_extreme_guard(
     old: GridSolution, proposed: Mesh, params: ExtremeGuardParams
 ) -> tuple[Mesh, ExtremeGuardReport]:
     """Nudge proposed nodes away from old extremes until all scores < 1.
 
-    Each round moves every offending node away from the extreme it scored
-    against. In an interval with one extreme end, the step is
+    One vectorised scan on entry finds the offending nodes. Each then walks
+    alone, one move at a time, until it scores below 1 or has made
+    ``max_rounds`` moves. A move takes the node away from the extreme it
+    scored against. In an interval with one extreme end, the step is
     ``nudge_factor`` times the node's current distance from that extreme,
     so distances grow geometrically; the distance is floored at half the
     interval width, because equidistribution parks nodes arbitrarily close
     to the extreme and an unfloored multiplicative step can then need far
-    more rounds than any practical cap (the floor is inactive for nodes
+    more moves than any practical cap (the floor is inactive for nodes
     beyond the midpoint, where the plain geometric growth takes over). An
     interval flanked by extremes on both ends admits no safe interior
     position once 1 + 3 * growth_constant reaches 2, and the geometric
@@ -208,19 +196,20 @@ def enforce_extreme_guard(
     correction march there. Moves past a domain endpoint are likewise
     capped at the midpoint between the node and that endpoint.
 
-    Rounds work on the active set. A node's score depends only on its own
-    position, the fixed old mesh and the old extremes (found once per
-    call), so a node that did not move cannot turn non-compliant: one
-    vectorised scan on entry finds the offenders, each round moves and
-    rescores only those, one node at a time, and one vectorised scan on
-    exit gives the report's scores. The scalar rules repeat the
-    vectorised arithmetic operation for operation, so every coordinate
-    and score is bitwise what a full rescan per round would give.
-
-    Only pairs next to a moved node can break the mesh ordering. If one
-    does, all coordinates are sorted; a moved coordinate that equals its
-    sorted successor is fatal, and otherwise each moved node is found at
-    its new index by bisection and rescored there.
+    The walks are independent because a node's score and move depend only
+    on its own position, the fixed old mesh and the old extremes (found
+    once per call). The scalar walk repeats the vectorised arithmetic
+    operation for operation, so each end point is bitwise where rounds of
+    moves with a full rescan in between would leave that node: ``rounds``
+    is the longest walk and ``corrections`` the sum of the walk lengths.
+    Two nodes that meet stay together from then on, and a walker that
+    lands on a resting node is compliant there and stops, so the end
+    points show every collapse that a check after each round would find.
+    One check at the end is therefore exact: nodes out of order are
+    sorted, a walked coordinate equal to another node raises
+    ``RemeshError``, and only then does a walk that hit the cap raise
+    ``GuardConvergenceError`` with the largest score left. One vectorised
+    scan on exit gives the report's scores.
 
     When no node offends, the proposed nodes are the output. Either way
     the output is checked once: nodes that are not finite and strictly
@@ -231,30 +220,27 @@ def enforce_extreme_guard(
     indices, _cells, scores = _scan_guarded(
         x_old, extreme, proposed.nodes, params.growth_constant
     )
-    pending = indices[scores >= 1.0].tolist()
-    if not pending:
+    walkers = indices[scores >= 1.0]
+    if not walkers.size:
         return _checked_mesh(proposed.nodes), ExtremeGuardReport(scores, 0, 0)
     xo = x_old.tolist()
     ext = extreme.tolist()
     last_cell = len(xo) - 2
     factor = 1.0 + 3.0 * params.growth_constant
-    nodes = proposed.nodes.tolist()
-    a = nodes[0]
-    b = nodes[-1]
     eps = params.nudge_factor
-    rounds = 0
-    corrections = 0
-    while True:
-        # Rescore the nodes that may offend: (index, score, cell, whether
-        # the cell's left end is the extreme that governs).
-        active = []
-        for i in pending:
-            xj = nodes[i]
+    a = float(proposed.nodes[0])
+    b = float(proposed.nodes[-1])
+    ends = []
+    lengths = []
+    capped = []
+    for xj in proposed.nodes[walkers].tolist():
+        moves = 0
+        while True:
             cell = min(max(bisect_right(xo, xj) - 1, 0), last_cell)
             left_ext = ext[cell]
             right_ext = ext[cell + 1]
             if not (left_ext or right_ext):
-                continue
+                break
             xl = xo[cell]
             xr = xo[cell + 1]
             width = xr - xl
@@ -262,48 +248,45 @@ def enforce_extreme_guard(
             from_right = (xj - xl) / width * factor if right_ext else -math.inf
             use_left = from_left >= from_right
             score = from_left if use_left else from_right
-            if score >= 1.0:
-                active.append((i, score, cell, use_left))
-        if not active:
-            break
-        if rounds == params.max_rounds:
-            raise GuardConvergenceError(
-                f"proximity scores still reach {max(site[1] for site in active):.6g} "
-                f"after {params.max_rounds} correction rounds"
-            )
-        pending = []
-        for i, _score, cell, use_left in active:
-            xj = nodes[i]
-            xl = xo[cell]
-            xr = xo[cell + 1]
-            width = xr - xl
+            if score < 1.0:
+                break
+            if moves == params.max_rounds:
+                capped.append(score)
+                break
             near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
             span = abs(xj - near)
             moved = xj + direction * (eps * max(span, 0.5 * width))
             if direction * (moved - far) >= 0.0:
                 moved = 0.5 * (xj + far)
-            if ext[cell] and ext[cell + 1]:
+            if left_ext and right_ext:
                 # The far end of a dual interval is an extreme, hence an
                 # interior node, so the interval beyond it exists. Entry
                 # depth shrinks with the node's distance from the nearer
-                # extreme, keeping simultaneous hoppers distinct.
+                # extreme, keeping nodes that hop out of one interval distinct.
                 dest = xo[cell + 2] - xr if use_left else xl - xo[cell - 1]
                 moved = far + direction * (eps * dest * (1.0 - 0.5 * span / width))
             if moved >= b:
                 moved = 0.5 * (xj + b)
             if moved <= a:
                 moved = 0.5 * (xj + a)
-            nodes[i] = moved
-            pending.append(i)
-        rounds += 1
-        corrections += len(pending)
-        for i in pending:
-            if not nodes[i - 1] < nodes[i] < nodes[i + 1]:
-                pending = _sort_after_crossing(nodes, pending)
-                break
-    x_new = np.array(nodes)
+            xj = moved
+            moves += 1
+        ends.append(xj)
+        lengths.append(moves)
+    x_new = proposed.nodes.copy()
+    x_new[walkers] = ends
+    if not (x_new[1:] > x_new[:-1]).all():
+        x_new.sort()
+        # A walked coordinate found twice collapsed onto another node.
+        if (x_new.searchsorted(ends, side="right") - x_new.searchsorted(ends) > 1).any():
+            raise RemeshError("corrections collapsed two nodes onto one point")
+    if capped:
+        raise GuardConvergenceError(
+            f"proximity scores still reach {max(capped):.6g} "
+            f"after {params.max_rounds} correction rounds"
+        )
     _indices, _cells, scores = _scan_guarded(x_old, extreme, x_new, params.growth_constant)
-    return _checked_mesh(x_new), ExtremeGuardReport(scores, rounds, corrections)
+    return _checked_mesh(x_new), ExtremeGuardReport(scores, max(lengths), sum(lengths))
 
 
 def _checked_mesh(nodes: np.ndarray) -> Mesh:

@@ -206,16 +206,23 @@ def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monk
     assert manifest["config"]["problem"] == "transport"
 
 
-def test_simulate_guard_collapse_exits_four_with_manifest(tmp_path, capsys):
+@pytest.mark.parametrize("prefilled", [False, True])
+def test_simulate_guard_collapse_exits_four_with_manifest(tmp_path, capsys, prefilled):
     # A real collapse of the extreme guard near the default jump. ROADMAP
     # item 1 (a one-pass guard projection) should turn this into a completed
     # run; the change that does so updates this test.
     text = BASE_CONFIG.replace("problem = transport", "problem = burgers")
     text = text.replace("n = 40", "n = 100")
     text = text.replace("cfl = 0.5", "cfl = 0.3")
+    out = tmp_path / "out"
+    if prefilled:
+        # A completed run's CSVs in the directory must not outlive the
+        # failed run that follows.
+        short = write_config(tmp_path, text.replace("t_final = 0.02", "t_final = 0.01"))
+        assert main(["simulate", str(short), str(out)]) == 0
+        assert (out / "snapshots.csv").exists() and (out / "tv_series.csv").exists()
     text = text.replace("t_final = 0.02", "t_final = 0.3")
     text += "x0 = 0.493453680228697\n"
-    out = tmp_path / "out"
     assert main(["simulate", str(write_config(tmp_path, text)), str(out)]) == 4
     assert "mesh reconstruction failed after step 49" in capsys.readouterr().err
 

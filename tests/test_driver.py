@@ -56,6 +56,10 @@ def test_run_config_validation():
         small_config(final_time=-0.1)
     with pytest.raises(ValueError):
         small_config(remesh_repetitions=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        small_config(n=10.5)
+    with pytest.raises(ValueError, match="remesh_repetitions"):
+        small_config(remesh_repetitions=1.5)
 
 
 @pytest.mark.parametrize("x0", [0.0, 1.0, -0.1, 1.5, float("nan")])

@@ -295,6 +295,20 @@ def rare_guard_cases():
             Mesh(np.array([-1.0, 0.5, 2.0])),
             ExtremeGuardParams(1.0, max_rounds=1),
         ),
+        # the 0.5 walk (0.5 -> 0.6 -> 0.72 -> 0.864) lands on its compliant
+        # successor on its third move
+        "landing": (
+            peaked_solution(),
+            Mesh(np.array([-1.0, 0.5, 0.864, 2.0])),
+            ExtremeGuardParams(1.0),
+        ),
+        # the one-ulp pair collapses on its first move, while the node at
+        # 1.0 needs three moves: the collapse wins over the round cap
+        "collapse_before_cap": (
+            peak,
+            Mesh(np.array([0.0, 1.0, 1.900000001, 1.9000000010000002, 2.9])),
+            ExtremeGuardParams(1.0, max_rounds=1),
+        ),
     }
 
 
@@ -307,6 +321,8 @@ def test_guard_matches_full_rescan_on_rare_geometries(name):
         "crossing": {"sort"},
         "collapse": {"sort", RemeshError},
         "round_cap": {GuardConvergenceError},
+        "landing": {"sort", RemeshError},
+        "collapse_before_cap": {"sort", RemeshError},
     }[name]
     assert paths | {type(outcome)} >= expected
 
@@ -341,6 +357,10 @@ def test_guard_params_validation():
         ExtremeGuardParams(growth_constant=1.0, nudge_factor=1.0)
     with pytest.raises(ValueError):
         ExtremeGuardParams(growth_constant=1.0, max_rounds=0)
+    # A count that is not an integer would never meet the round cap.
+    for max_rounds in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="max_rounds"):
+            ExtremeGuardParams(growth_constant=1.0, max_rounds=max_rounds)
 
 
 def test_interpolate_update_same_mesh_is_identity():
