@@ -4,11 +4,13 @@ Two subcommands. ``simulate <config> <outdir>`` runs one simulation from a
 flat key=value config file and writes snapshots.csv, tv_series.csv and
 manifest.json; ``theory --lambda --c --m --kmax <out>`` sweeps the bound
 table under sustained forcing and writes bounds.csv. Exit codes: 0 success,
-2 unusable configuration or parameters, 3 runtime blow-up (partial outputs
-are kept), 4 a failed mesh reconstruction (manifest only) or a bound table
-that failed its self-check (no file). All numbers are serialized with 17
-significant digits, so the CSV outputs of identical configurations are
-byte-identical.
+2 unusable configuration, parameters or paths (a config file that cannot be
+read or is not valid text, an output directory that cannot be created, or a
+table path that cannot be written; nothing is created or written), 3 runtime
+blow-up (partial outputs are kept), 4 a failed mesh reconstruction (manifest
+only) or a bound table that failed its self-check (no file). All numbers
+are serialized with 17 significant digits, so the CSV outputs of identical
+configurations are byte-identical.
 """
 
 from __future__ import annotations
@@ -47,19 +49,22 @@ _PROBLEMS = {
     "burgers": burgers_problem,
 }
 
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
-
-# The optional keys default to the defaults of the fields they set.
-_CONFIG_DEFAULTS = {
-    "adaptive": RunConfig.adaptive,
-    "epsilon": EstimatorParams.floor,
-    "pw": EstimatorParams.power,
-    "eps_corr": ExtremeGuardParams.nudge_factor,
-    "remesh_reps": RunConfig.remesh_repetitions,
-    "x0": RunConfig.jump_position,
+# Each config key maps to its type, or to the list of words it accepts, and
+# to its default: the default of the field it sets, or _REQUIRED.
+_REQUIRED = object()
+_KEYS = {
+    "problem": (sorted(_PROBLEMS), _REQUIRED),
+    "scheme": (sorted(kind.value for kind in SchemeKind), _REQUIRED),
+    "n": (int, _REQUIRED),
+    "cfl": (float, _REQUIRED),
+    "t_final": (float, _REQUIRED),
+    "adaptive": (bool, RunConfig.adaptive),
+    "epsilon": (float, EstimatorParams.floor),
+    "pw": (float, EstimatorParams.power),
+    "eps_corr": (float, ExtremeGuardParams.nudge_factor),
+    "remesh_reps": (int, RunConfig.remesh_repetitions),
+    "x0": (float, RunConfig.jump_position),
 }
-_REQUIRED_KEYS = ("problem", "scheme", "n", "cfl", "t_final")
 
 
 class ConfigError(ValueError):
@@ -71,50 +76,32 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _parse_bool(value: str, key: str) -> bool:
-    word = value.lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"{key} must be a boolean, got {value!r}")
-
-
-def _parse_typed(key: str, value: str):
+def _parse_value(key: str, value: str):
+    kind = _KEYS[key][0]
+    if isinstance(kind, list):
+        if value not in kind:
+            raise ConfigError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    if kind is bool:
+        word = value.lower()
+        if word in ("true", "1", "yes", "on"):
+            return True
+        if word in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(f"{key} must be a boolean, got {value!r}")
     try:
-        if key == "problem":
-            if value not in _PROBLEMS:
-                raise ConfigError(
-                    f"problem must be one of {sorted(_PROBLEMS)}, got {value!r}"
-                )
-            return value
-        if key == "scheme":
-            try:
-                return SchemeKind(value).value
-            except ValueError:
-                choices = sorted(kind.value for kind in SchemeKind)
-                raise ConfigError(
-                    f"scheme must be one of {choices}, got {value!r}"
-                ) from None
-        if key in ("n", "remesh_reps"):
-            return int(value)
-        if key in ("cfl", "t_final", "epsilon", "pw", "eps_corr", "x0"):
-            return float(value)
-        if key == "adaptive":
-            return _parse_bool(value, key)
-    except ConfigError:
-        raise
+        return kind(value)
     except ValueError:
         raise ConfigError(f"cannot parse {key}={value!r}") from None
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str) -> dict:
     """Parse flat key=value config text into a typed, defaulted dict.
 
-    Blank lines and lines starting with '#' are ignored. Unknown keys,
-    duplicate keys, missing required keys and untypable values all raise
-    ConfigError.
+    Blank lines and lines whose first non-blank character is '#' are
+    ignored. Unknown keys, duplicate keys, missing required keys and
+    untypable values all raise ConfigError. The dict holds the defaults
+    first, then the keys the text sets, in its order.
     """
     seen: dict = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -125,16 +112,18 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = _parse_typed(key, value)
-    for key in _REQUIRED_KEYS:
-        if key not in seen:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        seen[key] = _parse_value(key, value.strip())
+    defaults = {}
+    for key, (_, default) in _KEYS.items():
+        if default is not _REQUIRED:
+            defaults[key] = default
+        elif key not in seen:
             raise ConfigError(f"missing required key {key!r}")
-    merged = dict(_CONFIG_DEFAULTS)
-    merged.update(seen)
-    return merged
+    return {**defaults, **seen}
 
 
 def build_run_config(settings: dict) -> RunConfig:
@@ -199,16 +188,10 @@ def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list
     return lines
 
 
-def _write_manifest(out: Path, manifest: dict) -> None:
-    with open(out / "manifest.json", "w", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
-
-
 def cmd_simulate(config_path: str, outdir: str) -> int:
     try:
         text = Path(config_path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -219,24 +202,20 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         return 2
 
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     snapshots: list[tuple[int, float, GridSolution]] = []
-
-    def keep(step: int, instant: float, solution: GridSolution) -> None:
-        snapshots.append((step, instant, solution))
-
     start = time.perf_counter()
-    status = "ok"
     blow_up_step = None
     try:
-        result = run_simulation(config, keep)
-        records: tuple[StepRecord, ...] | list[StepRecord] = result.records
-        steps = result.steps
+        result = run_simulation(config, lambda *snapshot: snapshots.append(snapshot))
+        records, steps = result.records, result.steps
     except BlowUpError as exc:
-        status = "blow_up"
         blow_up_step = exc.step
-        records = exc.records
-        steps = len(exc.records)
+        records, steps = exc.records, len(exc.records)
     except RemeshError as exc:
         # The hook has seen the initial state and every completed step.
         steps = snapshots[-1][0]
@@ -244,26 +223,22 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         # left in the directory would pass for its output.
         for name in ("snapshots.csv", "tv_series.csv"):
             (out / name).unlink(missing_ok=True)
-        _write_manifest(out, {
+        manifest = {
             "command": "simulate",
             "status": "remesh_error",
             "steps": steps,
             "error": str(exc),
             "wall_time_seconds": time.perf_counter() - start,
             "config": settings,
-        })
+        }
+        _write_lines(out / "manifest.json", [json.dumps(manifest, indent=2)])
         print(f"error: mesh reconstruction failed after step {steps}: {exc}", file=sys.stderr)
         return 4
-    wall = time.perf_counter() - start
-
-    _write_lines(out / "snapshots.csv", _snapshot_lines(snapshots, steps))
-    _write_lines(out / "tv_series.csv", _tv_series_lines(records))
-
     manifest = {
         "command": "simulate",
-        "status": status,
+        "status": "ok" if blow_up_step is None else "blow_up",
         "steps": steps,
-        "wall_time_seconds": wall,
+        "wall_time_seconds": time.perf_counter() - start,
         "config": settings,
         "outputs": {
             "snapshots": "snapshots.csv",
@@ -272,22 +247,25 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     }
     if blow_up_step is not None:
         manifest["blow_up_step"] = blow_up_step
-    _write_manifest(out, manifest)
 
-    if status == "blow_up":
-        print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
-        return 3
-    return 0
+    _write_lines(out / "snapshots.csv", _snapshot_lines(snapshots, steps))
+    _write_lines(out / "tv_series.csv", _tv_series_lines(records))
+    _write_lines(out / "manifest.json", [json.dumps(manifest, indent=2)])
+
+    if blow_up_step is None:
+        return 0
+    print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
+    return 3
 
 
-def _check_table_identities(
-    params: BoundParams, last_step: int, table, closed: np.ndarray, uniform: list[float]
-) -> None:
-    """Cross-validate the bound table before writing it out.
+def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
+    """Walk the bound triangle once, self-checking and formatting each entry.
 
-    ``closed[m, k]`` is the closed-form entry and ``uniform[m - 1]`` the
-    stationary bound on extreme m; the CSV writer reuses both.
+    Raises RuntimeError at the first failed check, so no line of a table
+    that fails is ever written.
     """
+    table = extreme_bound_table(params, last_step)
+    uniform = [uniform_extreme_bound(params, m) for m in range(1, last_step + 1)]
     envelope = (
         params.variation_scale
         * (1.0 - params.weak_coupling_sum)
@@ -296,23 +274,34 @@ def _check_table_identities(
     b1 = tv_increase_bound_from_extremes(params)
     b2 = tv_increase_bound_from_contributions(params)
     slack = 1.0 + 1e-12
+    lines = ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2"]
+    # One %-format per row: '%.17g' % x is the text of _fmt(x).
+    row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
     for k in range(1, last_step + 1):
         previous = math.inf
+        partial = 0.0
         for m in range(1, k + 1):
             rec = table.value(m, k)
-            if abs(closed[m, k] - rec) > 1e-10 * (1.0 + rec):
+            closed = extreme_bound_closed_form(params, m, k)
+            if abs(closed - rec) > 1e-10 * (1.0 + rec):
                 raise RuntimeError(f"closed form mismatch at m={m}, k={k}")
             if rec > previous * slack:
                 raise RuntimeError(f"extreme order violated at m={m}, k={k}")
             if rec > uniform[m - 1] * slack + 1e-300:
                 raise RuntimeError(f"uniform bound violated at m={m}, k={k}")
             previous = rec
+            partial += rec
+            lines.append(row % (
+                m, k, rec, closed, uniform[m - 1],
+                increase_contribution(params, m, k), partial,
+            ))
         if table.column_sum(k) > envelope * slack:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
         if 2.0 * total_increase_contribution(params, k) > b2 * slack:
             raise RuntimeError(f"contribution bound violated at k={k}")
     if b2 > b1:
         raise RuntimeError("contribution bound exceeds extreme-sum bound")
+    return lines
 
 
 def cmd_theory(
@@ -331,41 +320,18 @@ def cmd_theory(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    table = extreme_bound_table(params, last_step)
-    closed = np.zeros((last_step + 1, last_step + 1))
-    for k in range(1, last_step + 1):
-        for m in range(1, k + 1):
-            closed[m, k] = extreme_bound_closed_form(params, m, k)
-    uniform = [uniform_extreme_bound(params, m) for m in range(1, last_step + 1)]
     try:
-        _check_table_identities(params, last_step, table, closed, uniform)
+        lines = _bound_table_lines(params, last_step)
     except RuntimeError as exc:
         print(f"error: bound table failed its self-check: {exc}", file=sys.stderr)
         return 4
-
-    b1 = tv_increase_bound_from_extremes(params)
-    b2 = tv_increase_bound_from_contributions(params)
-    lines = [
-        "m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2"
-    ]
-    b1_str = _fmt(b1)
-    b2_str = _fmt(b2)
-    for k in range(1, last_step + 1):
-        partial = 0.0
-        for m in range(1, k + 1):
-            rec = table.value(m, k)
-            partial += rec
-            lines.append(
-                f"{m},{k},{_fmt(rec)},"
-                f"{_fmt(closed[m, k])},"
-                f"{_fmt(uniform[m - 1])},"
-                f"{_fmt(increase_contribution(params, m, k))},"
-                f"{_fmt(partial)},{b1_str},{b2_str}"
-            )
     out = Path(out_path)
-    if out.parent != Path(""):
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
-    _write_lines(out, lines)
+        _write_lines(out, lines)
+    except OSError as exc:
+        print(f"error: cannot write bound table: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -384,34 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("outdir", help="directory for CSV and manifest outputs")
 
     theory = sub.add_parser("theory", help="sweep the bound table to a CSV")
-    theory.add_argument(
-        "--lambda",
-        dest="clip_factor",
-        type=float,
-        required=True,
-        help="per-step extreme clip factor, in (0, 1)",
-    )
-    theory.add_argument(
-        "--c",
-        dest="growth",
-        type=float,
-        required=True,
-        help="scheme growth constant",
-    )
-    theory.add_argument(
-        "--m",
-        dest="scale",
-        type=float,
-        required=True,
-        help="variation scale of the data",
-    )
-    theory.add_argument(
-        "--kmax",
-        dest="last_step",
-        type=int,
-        required=True,
-        help=f"number of steps to tabulate (at most {_MAX_BINOMIAL_STEP})",
-    )
+    for flag, dest, kind, text in (
+        ("--lambda", "clip_factor", float, "per-step extreme clip factor, in (0, 1)"),
+        ("--c", "growth", float, "scheme growth constant"),
+        ("--m", "scale", float, "variation scale of the data"),
+        ("--kmax", "last_step", int,
+         f"number of steps to tabulate (at most {_MAX_BINOMIAL_STEP})"),
+    ):
+        theory.add_argument(flag, dest=dest, type=kind, required=True, help=text)
     theory.add_argument("out", help="output CSV path")
 
     args = parser.parse_args(argv)

@@ -25,9 +25,6 @@ __all__ = [
     "StepContext",
     "evolution_constant",
     "choose_dt",
-    "richtmyer_step",
-    "maccormack_step",
-    "ftcs_step",
     "scheme_step",
     "evolution_ratio",
 ]
@@ -114,7 +111,7 @@ def _flux(problem: Problem, values: np.ndarray) -> np.ndarray:
     return np.asarray(problem.flux(values), dtype=np.float64)
 
 
-def richtmyer_step(
+def _richtmyer_step(
     solution: GridSolution, ctx: StepContext, problem: Problem
 ) -> GridSolution:
     """Two-stage centred scheme with width-weighted interface predictors.
@@ -138,7 +135,7 @@ def richtmyer_step(
     return _trusted(GridSolution, mesh=solution.mesh, values=out)
 
 
-def maccormack_step(
+def _maccormack_step(
     solution: GridSolution, ctx: StepContext, problem: Problem
 ) -> GridSolution:
     """Forward predictor / backward corrector pair, averaged.
@@ -163,7 +160,7 @@ def maccormack_step(
     return _trusted(GridSolution, mesh=solution.mesh, values=out)
 
 
-def ftcs_step(
+def _ftcs_step(
     solution: GridSolution, ctx: StepContext, problem: Problem
 ) -> GridSolution:
     """Forward-time centred-space step (anti-diffusive; needs the guard).
@@ -184,9 +181,9 @@ def ftcs_step(
 
 
 _STEPPERS: dict[SchemeKind, Callable[[GridSolution, StepContext, Problem], GridSolution]] = {
-    SchemeKind.RICHTMYER: richtmyer_step,
-    SchemeKind.MACCORMACK: maccormack_step,
-    SchemeKind.FTCS: ftcs_step,
+    SchemeKind.RICHTMYER: _richtmyer_step,
+    SchemeKind.MACCORMACK: _maccormack_step,
+    SchemeKind.FTCS: _ftcs_step,
 }
 
 

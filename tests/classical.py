@@ -4,7 +4,7 @@ The textbook uniform-grid stencils are written independently of the
 package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
 fixed). The scan references are plain loops that the package's vectorised
-front window and active-set guard must match. The last two helpers measure
+front window and extreme guard must match. The last two helpers measure
 a state's CFL number and spot-check a flux for convexity.
 """
 

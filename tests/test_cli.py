@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import shockmesh.bounds as bounds
 import shockmesh.cli as cli
 import shockmesh.remesh as remesh
 from shockmesh import (
+    ExtremeBoundTable,
     GridSolution,
     GuardConvergenceError,
     Mesh,
@@ -35,6 +37,8 @@ cfl = 0.5
 
 t_final = 0.02
 """
+
+THEORY_ARGV = ["theory", "--lambda", "0.1", "--c", "1.0", "--m", "1.0", "--kmax", "5"]
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -162,6 +166,36 @@ def test_simulate_missing_config_exits_two(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "absent.cfg"), str(out)]) == 2
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "run.cfg", "afile"],
+        ["simulate", "run.cfg", "afile/sub"],
+        ["simulate", "binary.cfg", "out"],
+        [*THEORY_ARGV, "adir"],
+        [*THEORY_ARGV, "afile/bounds.csv"],
+    ],
+    ids=[
+        "outdir_is_a_file",
+        "outdir_under_a_file",
+        "config_not_utf8",
+        "table_path_is_a_directory",
+        "table_path_under_a_file",
+    ],
+)
+def test_unusable_paths_exit_two_and_create_nothing(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path)
+    (tmp_path / "binary.cfg").write_bytes(BASE_CONFIG.encode() + b"\xff\n")
+    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "adir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):
@@ -339,6 +373,62 @@ def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, mo
     assert main([*argv, str(out)]) == 4
     assert not out.exists()
     assert "closed form mismatch at m=1, k=1" in capsys.readouterr().err
+
+
+class _InflatedColumnSums(ExtremeBoundTable):
+    def column_sum(self, k):
+        return 10.0
+
+
+def _increasing_table(params, last_step):
+    values = np.zeros((last_step + 1, last_step + 1))
+    for k in range(1, last_step + 1):
+        values[1 : k + 1, k] = 1e-3 * np.arange(1, k + 1)
+    return ExtremeBoundTable(values, last_step)
+
+
+@pytest.mark.parametrize(
+    "patches, message",
+    [
+        (
+            {
+                "extreme_bound_table": _increasing_table,
+                "extreme_bound_closed_form": lambda p, m, k: 1e-3 * m,
+            },
+            "extreme order violated at m=2, k=2",
+        ),
+        (
+            {"uniform_extreme_bound": lambda p, m: 0.5 * bounds.uniform_extreme_bound(p, m)},
+            "uniform bound violated at m=1, k=1",
+        ),
+        (
+            {
+                "extreme_bound_table": lambda p, n: _InflatedColumnSums(
+                    bounds.extreme_bound_table(p, n).values, n
+                ),
+            },
+            "extreme-sum envelope violated at k=1",
+        ),
+        (
+            {"total_increase_contribution": lambda p, k: 1.0},
+            "contribution bound violated at k=1",
+        ),
+        (
+            {"tv_increase_bound_from_extremes": lambda p: 0.0},
+            "contribution bound exceeds extreme-sum bound",
+        ),
+    ],
+    ids=["extreme_order", "uniform_bound", "envelope", "contribution", "b2_above_b1"],
+)
+def test_theory_each_self_check_exits_four_without_output(
+    tmp_path, capsys, monkeypatch, patches, message
+):
+    for name, replacement in patches.items():
+        monkeypatch.setattr(cli, name, replacement)
+    out = tmp_path / "bounds.csv"
+    assert main([*THEORY_ARGV, str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: bound table failed its self-check: {message}\n"
 
 
 def test_snapshot_lines_match_per_value_formatting():

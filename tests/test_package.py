@@ -39,18 +39,15 @@ PUBLIC_NAMES = [
     "extreme_bound_table",
     "extreme_clipping_residuals",
     "front_window",
-    "ftcs_step",
     "increase_contribution",
     "interpolate_update",
     "interpolation_smoothing_residual",
-    "maccormack_step",
     "make_jump_initial",
     "measure_overshoot",
     "measure_shock_increase",
     "piecewise_linear_sample",
     "regularize_curvature",
     "remesh_step",
-    "richtmyer_step",
     "run_simulation",
     "scheme_step",
     "total_increase_contribution",
