@@ -138,27 +138,16 @@ def extreme_bound_table(params: BoundParams, last_step: int) -> ExtremeBoundTabl
     lam = params.clip_factor
     c = params.growth_constant
     grow = 1.0 + 2.0 * c
+    increases = params.increases.tolist() + [0.0] * last_step  # zero past the end
     table = np.zeros((last_step + 1, last_step + 1))
+    # column[m] is entry m of the previous column; entry k of it is zero.
+    column = [0.0] * (last_step + 1)
     for k in range(1, last_step + 1):
-        table[1, k] = lam * (grow * table[1, k - 1] + params.increase_at(k))
-        for m in range(2, k + 1):
-            table[m, k] = lam * (grow * table[m, k - 1] + c * table[m - 1, k - 1])
+        column[1 : k + 1] = [lam * (grow * column[1] + increases[k - 1])] + [
+            lam * (grow * column[m] + c * column[m - 1]) for m in range(2, k + 1)
+        ]
+        table[1 : k + 1, k] = column[1 : k + 1]
     return ExtremeBoundTable(table, last_step)
-
-
-def _binomial_diagonal(top_offset: int, count: int) -> np.ndarray:
-    """binom(top_offset + j, j) for j = 0..count-1, exact in floats.
-
-    The multiplicative recurrence keeps every intermediate an integer;
-    the supported step range keeps them far below 2**53.
-    """
-    out = np.empty(count)
-    value = 1.0
-    out[0] = value
-    for j in range(1, count):
-        value = value * (top_offset + j) / j
-        out[j] = value
-    return out
 
 
 def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
@@ -166,8 +155,9 @@ def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
 
     Sums, over the age j of each contribution, the increase injected
     k - m + 1 - j steps after the extreme appeared, weighted by a binomial
-    count of clip/grow paths. Supported for k up to 60, where the float
-    binomial recurrence stays essentially exact; larger k raises.
+    count of clip/grow paths. The count binom(m - 1 + j, j) comes from the
+    multiplicative recurrence, whose intermediates are integers far below
+    2**53 for the supported k up to 60; larger k raises.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -179,14 +169,15 @@ def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
         return 0.0
     lam = params.clip_factor
     c = params.growth_constant
-    terms = k - m + 1
-    binom = _binomial_diagonal(m - 1, terms)
+    increases = params.increases.tolist() + [0.0] * k  # zero past the end
     ratio = lam * (1.0 + 2.0 * c)
     total = 0.0
     power = 1.0
-    for j in range(terms):
-        total += binom[j] * power * params.increase_at(k - m + 1 - j)
+    count = 1.0
+    for j in range(k - m + 1):
+        total += count * power * increases[k - m - j]
         power *= ratio
+        count = count * (m + j) / (j + 1)
     return lam**m * c ** (m - 1) * total
 
 
@@ -259,7 +250,9 @@ def total_increase_contribution(params: BoundParams, k: int) -> float:
     """Sum of all per-increase contributions alive at step k."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    coupling = params.coupling_sum
+    increases = params.increases.tolist() + [0.0] * k  # zero past the end
     total = 0.0
     for m in range(1, k + 1):
-        total += params.coupling_sum ** (k - m) * params.increase_at(m)
+        total += coupling ** (k - m) * increases[m - 1]
     return params.clip_factor * total

@@ -6,10 +6,11 @@ manifest.json; ``theory --lambda --c --m --kmax <out>`` sweeps the bound
 table under sustained forcing and writes bounds.csv. Exit codes: 0 success,
 2 unusable configuration, parameters or paths (a config file that cannot be
 read or is not valid text, an output directory that cannot be created, or a
-table path that cannot be written; nothing is created or written), 3 runtime
-blow-up (partial outputs are kept), 4 a failed mesh reconstruction (manifest
-only) or a bound table that failed its self-check (no file). All numbers
-are serialized with 17 significant digits, so the CSV outputs of identical
+table path that cannot be written; nothing is created or written) or
+simulate outputs that cannot be written (every file the run wrote is removed
+again), 3 runtime blow-up (partial outputs are kept), 4 a failed mesh
+reconstruction (manifest only) or a bound table that failed its self-check
+(no file). All numbers are serialized with 17 significant digits, so the CSV outputs of identical
 configurations are byte-identical.
 """
 
@@ -154,9 +155,26 @@ def build_run_config(settings: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_outputs(out: Path, outputs: dict[str, list[str] | None]) -> None:
+    """Write the named files into ``out`` and remove those mapped to None.
+
+    On an OSError, the files this call opened are removed again before the
+    error propagates, so a failed write leaves none of them behind.
+    """
+    opened: list[Path] = []
+    try:
+        for name, lines in outputs.items():
+            path = out / name
+            if lines is None:
+                path.unlink(missing_ok=True)
+                continue
+            with open(path, "w", newline="\n") as handle:
+                opened.append(path)
+                handle.write("\n".join(lines) + "\n")
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _snapshot_lines(
@@ -209,7 +227,7 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         return 2
     snapshots: list[tuple[int, float, GridSolution]] = []
     start = time.perf_counter()
-    blow_up_step = None
+    blow_up_step = error = None
     try:
         result = run_simulation(config, lambda *snapshot: snapshots.append(snapshot))
         records, steps = result.records, result.steps
@@ -217,45 +235,36 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         blow_up_step = exc.step
         records, steps = exc.records, len(exc.records)
     except RemeshError as exc:
+        error = str(exc)
         # The hook has seen the initial state and every completed step.
         steps = snapshots[-1][0]
-        # Only the manifest describes this run: CSVs that an earlier run
-        # left in the directory would pass for its output.
-        for name in ("snapshots.csv", "tv_series.csv"):
-            (out / name).unlink(missing_ok=True)
-        manifest = {
-            "command": "simulate",
-            "status": "remesh_error",
-            "steps": steps,
-            "error": str(exc),
-            "wall_time_seconds": time.perf_counter() - start,
-            "config": settings,
+    manifest = {"command": "simulate", "status": "ok", "steps": steps}
+    if error is not None:
+        manifest.update(status="remesh_error", error=error)
+    manifest.update(wall_time_seconds=time.perf_counter() - start, config=settings)
+    # Only the manifest describes a failed reconstruction: CSVs that an
+    # earlier run left in the directory would pass for its output.
+    csvs = {"snapshots.csv": None, "tv_series.csv": None}
+    if error is None:
+        manifest["outputs"] = {"snapshots": "snapshots.csv", "tv_series": "tv_series.csv"}
+        csvs = {
+            "snapshots.csv": _snapshot_lines(snapshots, steps),
+            "tv_series.csv": _tv_series_lines(records),
         }
-        _write_lines(out / "manifest.json", [json.dumps(manifest, indent=2)])
-        print(f"error: mesh reconstruction failed after step {steps}: {exc}", file=sys.stderr)
-        return 4
-    manifest = {
-        "command": "simulate",
-        "status": "ok" if blow_up_step is None else "blow_up",
-        "steps": steps,
-        "wall_time_seconds": time.perf_counter() - start,
-        "config": settings,
-        "outputs": {
-            "snapshots": "snapshots.csv",
-            "tv_series": "tv_series.csv",
-        },
-    }
     if blow_up_step is not None:
-        manifest["blow_up_step"] = blow_up_step
-
-    _write_lines(out / "snapshots.csv", _snapshot_lines(snapshots, steps))
-    _write_lines(out / "tv_series.csv", _tv_series_lines(records))
-    _write_lines(out / "manifest.json", [json.dumps(manifest, indent=2)])
-
-    if blow_up_step is None:
-        return 0
-    print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
-    return 3
+        manifest.update(status="blow_up", blow_up_step=blow_up_step)
+    try:
+        _write_outputs(out, {**csvs, "manifest.json": [json.dumps(manifest, indent=2)]})
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    if error is not None:
+        print(f"error: mesh reconstruction failed after step {steps}: {error}", file=sys.stderr)
+        return 4
+    if blow_up_step is not None:
+        print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
@@ -277,11 +286,12 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     lines = ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2"]
     # One %-format per row: '%.17g' % x is the text of _fmt(x).
     row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
+    values = table.values.tolist()
     for k in range(1, last_step + 1):
         previous = math.inf
         partial = 0.0
         for m in range(1, k + 1):
-            rec = table.value(m, k)
+            rec = values[m][k]
             closed = extreme_bound_closed_form(params, m, k)
             if abs(closed - rec) > 1e-10 * (1.0 + rec):
                 raise RuntimeError(f"closed form mismatch at m={m}, k={k}")
@@ -328,7 +338,7 @@ def cmd_theory(
     out = Path(out_path)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_lines(out, lines)
+        _write_outputs(out.parent, {out.name: lines})
     except OSError as exc:
         print(f"error: cannot write bound table: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 Everything downstream works on a 1-D mesh of strictly increasing nodes with
 one solution value per node. Cell geometry (widths of the finite-volume cells
-implied by a mesh) is derived, never stored as a second solution layout.
+implied by a mesh) is derived, never stored as a second solution layout. One
+piecewise-linear sampler serves both the solution transfer and the inversion
+of the cumulative monitor.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "make_jump_initial",
     "total_variation",
     "detect_extremes",
+    "piecewise_linear_sample",
 ]
 
 
@@ -220,4 +223,30 @@ def detect_extremes(values: np.ndarray) -> list[tuple[int, str]]:
     out: list[tuple[int, str]] = []
     for idx in (is_max | is_min).nonzero()[0].tolist():
         out.append((idx + 1, "max" if is_max[idx] else "min"))
+    return out
+
+
+def piecewise_linear_sample(
+    xs: np.ndarray, ys: np.ndarray, x_new: np.ndarray
+) -> np.ndarray:
+    """Sample the piecewise-linear interpolant of (xs, ys) at x_new.
+
+    Query points that coincide with a knot return that knot's value
+    bitwise, and every sampled value is clipped to the range of its
+    segment's endpoint values, so interpolation can never overshoot the
+    local data. Queries must lie inside [xs[0], xs[-1]].
+    """
+    x_new = np.asarray(x_new, dtype=np.float64)
+    idx = _interval_index(xs, x_new)
+    x_left = xs[idx]
+    x_right = xs[idx + 1]
+    left = ys[idx]
+    right = ys[idx + 1]
+    t = (x_new - x_left) / (x_right - x_left)
+    out = left + t * (right - left)
+    out = np.minimum(np.maximum(out, np.minimum(left, right)), np.maximum(left, right))
+    exact_left = x_new == x_left
+    out[exact_left] = left[exact_left]
+    exact_right = x_new == x_right
+    out[exact_right] = right[exact_right]
     return out

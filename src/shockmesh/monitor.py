@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, _as_float_array, _interval_index, _trusted
+from .grid import GridSolution, Mesh, _as_float_array, _trusted, piecewise_linear_sample
 
 __all__ = [
     "EstimatorParams",
@@ -172,7 +172,8 @@ def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
 
     Endpoints are pinned to the monitor's domain ends. Interior nodes are
     found by inverting the piecewise-linear cumulative table at the target
-    levels k * total / (n - 1); a level that hits a table breakpoint exactly
+    levels k * total / (n - 1), that is by sampling the nodes as a function
+    of the cumulative monitor; a level that hits a table breakpoint exactly
     yields that breakpoint's coordinate exactly. The mesh is built without
     the public checks: the extreme guard checks the corrected mesh.
     """
@@ -181,13 +182,8 @@ def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
     cum = monitor.cumulative
     src = monitor.nodes
     levels = (float(cum[-1]) / (n - 1)) * np.arange(1, n - 1, dtype=np.float64)
-    seg = _interval_index(cum, levels)
-    left_mass = cum[seg]
-    t = (levels - left_mass) / (cum[seg + 1] - left_mass)
-    interior = src[seg] + t * (src[seg + 1] - src[seg])
-    interior = np.minimum(np.maximum(interior, src[seg]), src[seg + 1])
     nodes = np.empty(n)
     nodes[0] = src[0]
     nodes[-1] = src[-1]
-    nodes[1:-1] = interior
+    nodes[1:-1] = piecewise_linear_sample(cum, src, levels)
     return _trusted(Mesh, nodes=nodes)

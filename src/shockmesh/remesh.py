@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, _interval_index, _trusted, detect_extremes
+from .grid import (
+    GridSolution,
+    Mesh,
+    _interval_index,
+    _trusted,
+    detect_extremes,
+    piecewise_linear_sample,
+)
 from .monitor import (
     EstimatorParams,
     build_monitor,
@@ -33,7 +40,6 @@ __all__ = [
     "GuardConvergenceError",
     "ExtremeGuardParams",
     "ExtremeGuardReport",
-    "piecewise_linear_sample",
     "enforce_extreme_guard",
     "interpolate_update",
     "interpolation_smoothing_residual",
@@ -88,32 +94,6 @@ class ExtremeGuardReport:
     @property
     def mean_score(self) -> float:
         return float(self.scores.mean()) if self.scores.size else 0.0
-
-
-def piecewise_linear_sample(
-    xs: np.ndarray, ys: np.ndarray, x_new: np.ndarray
-) -> np.ndarray:
-    """Sample the piecewise-linear interpolant of (xs, ys) at x_new.
-
-    Query points that coincide with a knot return that knot's value
-    bitwise, and every sampled value is clipped to the range of its
-    segment's endpoint values, so interpolation can never overshoot the
-    local data. Queries must lie inside [xs[0], xs[-1]].
-    """
-    x_new = np.asarray(x_new, dtype=np.float64)
-    idx = _interval_index(xs, x_new)
-    x_left = xs[idx]
-    x_right = xs[idx + 1]
-    left = ys[idx]
-    right = ys[idx + 1]
-    t = (x_new - x_left) / (x_right - x_left)
-    out = left + t * (right - left)
-    out = np.minimum(np.maximum(out, np.minimum(left, right)), np.maximum(left, right))
-    exact_left = x_new == x_left
-    out[exact_left] = left[exact_left]
-    exact_right = x_new == x_right
-    out[exact_right] = right[exact_right]
-    return out
 
 
 def _extreme_mask(old: GridSolution) -> np.ndarray:

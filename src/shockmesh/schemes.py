@@ -111,9 +111,11 @@ def _flux(problem: Problem, values: np.ndarray) -> np.ndarray:
     return np.asarray(problem.flux(values), dtype=np.float64)
 
 
-def _richtmyer_step(
-    solution: GridSolution, ctx: StepContext, problem: Problem
-) -> GridSolution:
+# Each kernel maps the nodal values u, their fluxes f, the cell widths h and
+# the step dt to the advanced values, with the boundary values kept.
+
+
+def _richtmyer_kernel(u, f, h, dt, problem):
     """Two-stage centred scheme with width-weighted interface predictors.
 
     The predictor at each interface averages the flanking nodal values with
@@ -121,35 +123,21 @@ def _richtmyer_step(
     corrector is a conservative update with the predictor fluxes. Reduces
     to the classical Lax-Wendroff two-step form on a uniform mesh.
     """
-    u = solution.values
-    h = ctx.cell_widths
-    if h.size != u.size:
-        raise ValueError("cell widths must match the solution size")
-    dt = ctx.dt
-    f = _flux(problem, u)
     pair = h[:-1] + h[1:]
     u_star = (h[1:] * u[:-1] + h[:-1] * u[1:]) / pair - dt * (f[1:] - f[:-1]) / pair
     f_star = _flux(problem, u_star)
     out = u.copy()
     out[1:-1] = u[1:-1] - dt * (f_star[1:] - f_star[:-1]) / h[1:-1]
-    return _trusted(GridSolution, mesh=solution.mesh, values=out)
+    return out
 
 
-def _maccormack_step(
-    solution: GridSolution, ctx: StepContext, problem: Problem
-) -> GridSolution:
+def _maccormack_kernel(u, f, h, dt, problem):
     """Forward predictor / backward corrector pair, averaged.
 
     Both sweeps difference the flux over the two-cell span around each
     node; the final value is the mean of the input and the corrected
     predictor. Reduces to classical MacCormack on a uniform mesh.
     """
-    u = solution.values
-    h = ctx.cell_widths
-    if h.size != u.size:
-        raise ValueError("cell widths must match the solution size")
-    dt = ctx.dt
-    f = _flux(problem, u)
     u_pred = u.copy()
     u_pred[:-1] = u[:-1] - 2.0 * dt * (f[1:] - f[:-1]) / (h[:-1] + h[1:])
     f_pred = _flux(problem, u_pred)
@@ -157,33 +145,25 @@ def _maccormack_step(
     u_corr[1:] = u_pred[1:] - 2.0 * dt * (f_pred[1:] - f_pred[:-1]) / (h[:-1] + h[1:])
     out = u.copy()
     out[1:-1] = 0.5 * (u[1:-1] + u_corr[1:-1])
-    return _trusted(GridSolution, mesh=solution.mesh, values=out)
+    return out
 
 
-def _ftcs_step(
-    solution: GridSolution, ctx: StepContext, problem: Problem
-) -> GridSolution:
+def _ftcs_kernel(u, f, h, dt, problem):
     """Forward-time centred-space step (anti-diffusive; needs the guard).
 
     Interior update: subtract the centred flux difference over the two-cell
     span. Algebraically identical to the conservative form with arithmetic
     -mean interface fluxes.
     """
-    u = solution.values
-    h = ctx.cell_widths
-    if h.size != u.size:
-        raise ValueError("cell widths must match the solution size")
-    dt = ctx.dt
-    f = _flux(problem, u)
     out = u.copy()
     out[1:-1] = u[1:-1] - dt * (f[2:] - f[:-2]) / (h[1:-1] + h[2:])
-    return _trusted(GridSolution, mesh=solution.mesh, values=out)
+    return out
 
 
-_STEPPERS: dict[SchemeKind, Callable[[GridSolution, StepContext, Problem], GridSolution]] = {
-    SchemeKind.RICHTMYER: _richtmyer_step,
-    SchemeKind.MACCORMACK: _maccormack_step,
-    SchemeKind.FTCS: _ftcs_step,
+_KERNELS: dict[SchemeKind, Callable[..., np.ndarray]] = {
+    SchemeKind.RICHTMYER: _richtmyer_kernel,
+    SchemeKind.MACCORMACK: _maccormack_kernel,
+    SchemeKind.FTCS: _ftcs_kernel,
 }
 
 
@@ -191,7 +171,12 @@ def scheme_step(
     kind: SchemeKind, solution: GridSolution, ctx: StepContext, problem: Problem
 ) -> GridSolution:
     """Apply one step of the selected scheme."""
-    return _STEPPERS[kind](solution, ctx, problem)
+    u = solution.values
+    h = ctx.cell_widths
+    if h.size != u.size:
+        raise ValueError("cell widths must match the solution size")
+    out = _KERNELS[kind](u, _flux(problem, u), h, ctx.dt, problem)
+    return _trusted(GridSolution, mesh=solution.mesh, values=out)
 
 
 def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:

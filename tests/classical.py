@@ -4,8 +4,11 @@ The textbook uniform-grid stencils are written independently of the
 package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
 fixed). The scan references are plain loops that the package's vectorised
-front window and extreme guard must match. The last two helpers measure
-a state's CFL number and spot-check a flux for convexity.
+front window and extreme guard must match. The bound references are the
+step recurrence, binomial closed form and contribution sum as written on
+numpy scalars, which the package's plain-float forms must match bitwise.
+The last two helpers measure a state's CFL number and spot-check a flux for
+convexity.
 """
 
 import numpy as np
@@ -147,6 +150,53 @@ def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None
             if np.any(np.diff(nodes) == 0.0):
                 raise RemeshError("corrections collapsed two nodes onto one point")
     raise AssertionError("unreachable")
+
+
+def extreme_bound_table_reference(params, last_step):
+    """The extreme-magnitude recurrence, filling a numpy table entry by entry."""
+    lam = params.clip_factor
+    c = params.growth_constant
+    grow = 1.0 + 2.0 * c
+    table = np.zeros((last_step + 1, last_step + 1))
+    for k in range(1, last_step + 1):
+        table[1, k] = lam * (grow * table[1, k - 1] + params.increase_at(k))
+        for m in range(2, k + 1):
+            table[m, k] = lam * (grow * table[m, k - 1] + c * table[m - 1, k - 1])
+    return table
+
+
+def _binomial_diagonal(top_offset, count):
+    """binom(top_offset + j, j) for j = 0..count-1, exact in floats."""
+    out = np.empty(count)
+    value = 1.0
+    out[0] = value
+    for j in range(1, count):
+        value = value * (top_offset + j) / j
+        out[j] = value
+    return out
+
+
+def extreme_bound_closed_form_reference(params, m, k):
+    """The binomial closed form over a numpy binomial diagonal, for 1 <= m <= k."""
+    lam = params.clip_factor
+    c = params.growth_constant
+    terms = k - m + 1
+    binom = _binomial_diagonal(m - 1, terms)
+    ratio = lam * (1.0 + 2.0 * c)
+    total = 0.0
+    power = 1.0
+    for j in range(terms):
+        total += binom[j] * power * params.increase_at(k - m + 1 - j)
+        power *= ratio
+    return lam**m * c ** (m - 1) * total
+
+
+def total_increase_contribution_reference(params, k):
+    """Sum of the per-increase contributions alive at step k, term by term."""
+    total = 0.0
+    for m in range(1, k + 1):
+        total += params.coupling_sum ** (k - m) * params.increase_at(m)
+    return params.clip_factor * total
 
 
 def cfl_number(solution, problem, dt):

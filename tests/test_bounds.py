@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import classical
 from shockmesh import (
     BoundParams,
     extreme_bound_closed_form,
@@ -182,3 +185,31 @@ def test_uniform_bound_requires_bounded_increases():
     p = BoundParams(0.1, 1.0, 1.0, np.array([5.0]))  # a_1 > C*M
     with pytest.raises(ValueError):
         uniform_extreme_bound(p, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    growth=st.floats(1e-3, 10.0),
+    coupling=st.floats(1e-3, 0.999),
+    scale=st.floats(1e-3, 1e3),
+    increases=st.lists(st.floats(0.0, 1e3), max_size=60),
+    last_step=st.integers(1, 60),
+)
+def test_plain_float_bounds_match_the_numpy_references_bitwise(
+    growth, coupling, scale, increases, last_step
+):
+    # Coupled parameters, lambda * (1 + 3C) < 1, with a forcing sequence
+    # that may end before the last step.
+    lam = coupling / (1.0 + 3.0 * growth)
+    p = params(lam=lam, growth=growth, scale=scale, increases=increases)
+    table = extreme_bound_table(p, last_step).values
+    reference = classical.extreme_bound_table_reference(p, last_step)
+    assert (table == reference).all()
+    for k in range(1, last_step + 1):
+        assert total_increase_contribution(p, k) == (
+            classical.total_increase_contribution_reference(p, k)
+        )
+        for m in range(1, k + 1):
+            assert extreme_bound_closed_form(p, m, k) == (
+                classical.extreme_bound_closed_form_reference(p, m, k)
+            )

@@ -13,6 +13,7 @@ from shockmesh import (
     GridSolution,
     GuardConvergenceError,
     Mesh,
+    RemeshError,
     SchemeKind,
     StepRecord,
     evolution_constant,
@@ -217,18 +218,23 @@ def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):
     assert (out / "snapshots.csv").exists()
 
 
-def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monkeypatch):
+def fail_after_step_3(monkeypatch, error):
+    """Make the CLI's runs raise ``error`` once step 3 has completed."""
     real_run = cli.run_simulation
 
     def failing_run(config, snapshot_hook=None):
         def hook(step, instant, solution):
             snapshot_hook(step, instant, solution)
             if step == 3:
-                raise GuardConvergenceError("scores still reach 1.5")
+                raise error
 
         return real_run(config, hook)
 
     monkeypatch.setattr(cli, "run_simulation", failing_run)
+
+
+def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monkeypatch):
+    fail_after_step_3(monkeypatch, GuardConvergenceError("scores still reach 1.5"))
     out = tmp_path / "out"
     assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 4
     assert "mesh reconstruction failed after step 3" in capsys.readouterr().err
@@ -287,6 +293,24 @@ def test_simulate_bad_reconstructed_mesh_exits_four_with_manifest(
     assert manifest["steps"] == 0
     assert manifest["error"] == "reconstructed mesh is not finite and strictly increasing"
     assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("remesh_fails", [False, True], ids=["completed", "remesh_error"])
+@pytest.mark.parametrize("blocked", ["snapshots.csv", "tv_series.csv", "manifest.json"])
+def test_simulate_unwritable_output_exits_two_and_leaves_no_output(
+    tmp_path, capsys, monkeypatch, blocked, remesh_fails
+):
+    if remesh_fails:
+        fail_after_step_3(monkeypatch, RemeshError("reconstructed mesh is not usable"))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
+    # The directory in the way is all that is left: every file this run
+    # wrote before the failure is gone again.
+    assert [path.name for path in out.iterdir()] == [blocked]
+    assert not any((out / blocked).iterdir())
 
 
 def test_simulate_is_deterministic(tmp_path):
