@@ -229,15 +229,13 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     start = time.perf_counter()
     blow_up_step = error = None
     try:
-        result = run_simulation(config, lambda *snapshot: snapshots.append(snapshot))
-        records, steps = result.records, result.steps
+        records = run_simulation(config, lambda *snapshot: snapshots.append(snapshot)).records
     except BlowUpError as exc:
-        blow_up_step = exc.step
-        records, steps = exc.records, len(exc.records)
+        blow_up_step, records = exc.step, exc.records
     except RemeshError as exc:
         error = str(exc)
-        # The hook has seen the initial state and every completed step.
-        steps = snapshots[-1][0]
+    # The hook has seen the initial state and every completed step.
+    steps = snapshots[-1][0]
     manifest = {"command": "simulate", "status": "ok", "steps": steps}
     if error is not None:
         manifest.update(status="remesh_error", error=error)

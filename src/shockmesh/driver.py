@@ -27,7 +27,7 @@ from .grid import (
     total_variation,
 )
 from .monitor import EstimatorParams
-from .remesh import ExtremeGuardParams, ExtremeGuardReport, remesh_step
+from .remesh import ExtremeGuardParams, ExtremeGuardReport, RemeshError, remesh_step
 from .schemes import (
     SchemeKind,
     StepContext,
@@ -50,6 +50,9 @@ __all__ = [
 
 _MAGNITUDE_LIMIT = 1e8
 
+# The report of a step on the uniform mesh: no guard ran, every score reads 0.
+_UNGUARDED = ExtremeGuardReport(np.empty(0), 0, 0)
+
 
 class BlowUpError(RuntimeError):
     """The solution left the finite/bounded regime mid-run.
@@ -67,7 +70,10 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything needed to reproduce one simulation on the unit interval."""
+    """Everything needed to reproduce one simulation on the unit interval.
+
+    An omitted ``guard`` becomes the scheme's default guard when built.
+    """
 
     problem: Problem
     scheme: SchemeKind
@@ -96,16 +102,14 @@ class RunConfig:
             raise ValueError("remesh_repetitions must be an integer of at least 1")
         if not (0.0 < self.jump_position < 1.0):
             raise ValueError("jump_position must lie in the open interval (0, 1)")
+        if self.guard is None:
+            guard = ExtremeGuardParams(growth_constant=self.growth_constant)
+            object.__setattr__(self, "guard", guard)
 
     @property
     def growth_constant(self) -> float:
         """Scheme amplification constant at the configured CFL target."""
         return evolution_constant(self.scheme, self.cfl_target)
-
-    def effective_guard(self) -> ExtremeGuardParams:
-        if self.guard is not None:
-            return self.guard
-        return ExtremeGuardParams(growth_constant=self.growth_constant)
 
 
 @dataclass(frozen=True)
@@ -122,10 +126,6 @@ class StepRecord:
     guard_rounds: int
     increase: float
     overshoot: float
-
-    def __post_init__(self):
-        if self.tv < 0.0 or self.evolution_ratio < 0.0:
-            raise ValueError("tv and evolution_ratio must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,6 @@ def run_simulation(
     )
     current = initial
     tv0 = total_variation(initial.values)
-    guard = config.effective_guard()
     growth = config.growth_constant
 
     records: list[StepRecord] = []
@@ -248,20 +247,12 @@ def run_simulation(
 
     remaining = config.final_time
     step = 0
+    report = _UNGUARDED
     while remaining > 0.0:
         step += 1
         if config.adaptive:
-            report: ExtremeGuardReport | None = None
             for _ in range(config.remesh_repetitions):
-                current, report = remesh_step(current, config.estimator, guard)
-            assert report is not None
-            max_score = report.max_score
-            mean_score = report.mean_score
-            rounds = report.rounds
-        else:
-            max_score = 0.0
-            mean_score = 0.0
-            rounds = 0
+                current, report = remesh_step(current, config.estimator, config.guard)
 
         window = front_window(current.values)
         overshoot = measure_overshoot(current.values, config.high, window)
@@ -271,10 +262,10 @@ def run_simulation(
         dt = choose_dt(
             current, config.problem, config.cfl_target, max_dt=remaining, cell_widths=widths
         )
-        # dt = cfl * min(width) / speed, so a positive dt also means
-        # positive cell widths.
+        # dt = cfl * min(width) / speed: it fails to be positive only when
+        # two cell interfaces of the reconstructed mesh round together.
         if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError("dt must be positive and finite")
+            raise RemeshError("reconstructed mesh has a cell of zero width")
         ctx = _trusted(StepContext, dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 
@@ -289,16 +280,15 @@ def run_simulation(
         elapsed = config.final_time - remaining
         tv = total_variation(advanced.values)
         records.append(
-            _trusted(
-                StepRecord,
+            StepRecord(
                 step=step,
                 time=elapsed,
                 tv=tv,
                 tvi=tv - tv0,
                 evolution_ratio=ratio,
-                max_score=max_score,
-                mean_score=mean_score,
-                guard_rounds=rounds,
+                max_score=report.max_score,
+                mean_score=report.mean_score,
+                guard_rounds=report.rounds,
                 increase=increase,
                 overshoot=overshoot,
             )

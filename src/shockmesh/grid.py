@@ -80,12 +80,6 @@ class Mesh:
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    @property
-    def gaps(self) -> np.ndarray:
-        """Distances between consecutive nodes, length N-1."""
-        nodes = self.nodes
-        return nodes[1:] - nodes[:-1]
-
     def __len__(self) -> int:
         return self.nodes.size
 
@@ -126,8 +120,8 @@ class CellGeometry:
     makes a uniform mesh produce exactly uniform cells, which the schemes
     rely on to reduce to their classical uniform-mesh stencils without
     roundoff. ``from_mesh`` skips the public checks: midpoints of a valid
-    mesh increase, unless two of them round together, and the step loop's
-    check of a positive dt catches a zero width.
+    mesh increase, unless two of them round together; the step loop turns
+    the zero width, and so zero dt, into a ``RemeshError``.
     """
 
     interfaces: np.ndarray

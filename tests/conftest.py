@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 import shockmesh as sm
@@ -26,6 +27,21 @@ def make_problem(name):
     if name == "burgers":
         return sm.burgers_problem()
     raise ValueError(name)
+
+
+@pytest.fixture
+def crowded_nodes(monkeypatch):
+    """Make every reconstruction put nodes 5 and 6 on the two floats after
+    node 4, where two cell interfaces can round together into a zero width."""
+    real_equidistribute = sm.remesh.equidistribute
+
+    def crowding(monitor, n):
+        nodes = real_equidistribute(monitor, n).nodes.copy()
+        nodes[5] = np.nextafter(nodes[4], np.inf)
+        nodes[6] = np.nextafter(nodes[5], np.inf)
+        return sm.Mesh(nodes)
+
+    monkeypatch.setattr(sm.remesh, "equidistribute", crowding)
 
 
 @pytest.fixture(scope="session")

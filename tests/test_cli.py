@@ -295,6 +295,22 @@ def test_simulate_bad_reconstructed_mesh_exits_four_with_manifest(
     assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.usefixtures("crowded_nodes")
+def test_simulate_zero_width_cell_exits_four_with_manifest(tmp_path, capsys):
+    text = BASE_CONFIG.replace("scheme = richtmyer", "scheme = ftcs")
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path, text)), str(out)]) == 4
+    # Whether the two interfaces round together depends on the last bits of
+    # node 4; on this run they first do in step 2.
+    assert "mesh reconstruction failed after step 1" in capsys.readouterr().err
+
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "remesh_error"
+    assert manifest["steps"] == 1
+    assert manifest["error"] == "reconstructed mesh has a cell of zero width"
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("remesh_fails", [False, True], ids=["completed", "remesh_error"])
 @pytest.mark.parametrize("blocked", ["snapshots.csv", "tv_series.csv", "manifest.json"])
 def test_simulate_unwritable_output_exits_two_and_leaves_no_output(

@@ -12,10 +12,12 @@ from shockmesh import (
     BlowUpError,
     BoundParams,
     CellGeometry,
+    ExtremeGuardParams,
     GridSolution,
     Mesh,
     MonitorTable,
     Problem,
+    RemeshError,
     RunConfig,
     SchemeKind,
     StepContext,
@@ -71,7 +73,9 @@ def test_run_config_rejects_jump_outside_the_domain(x0):
 def test_growth_constant_and_default_guard():
     cfg = small_config(scheme=SchemeKind.MACCORMACK, cfl_target=0.4)
     assert cfg.growth_constant == evolution_constant(SchemeKind.MACCORMACK, 0.4)
-    assert cfg.effective_guard().growth_constant == cfg.growth_constant
+    assert cfg.guard == ExtremeGuardParams(growth_constant=cfg.growth_constant)
+    given_guard = ExtremeGuardParams(growth_constant=0.25, nudge_factor=0.3)
+    assert small_config(guard=given_guard).guard is given_guard
 
 
 def test_front_window_brackets_a_jump():
@@ -174,7 +178,10 @@ def test_uniform_baseline_never_moves_the_mesh():
     cfg = small_config(adaptive=False, final_time=0.05)
     result = run_simulation(cfg)
     assert np.array_equal(result.final.mesh.nodes, np.linspace(0.0, 1.0, cfg.n))
-    assert all(r.max_score == 0.0 and r.guard_rounds == 0 for r in result.records)
+    assert all(
+        r.max_score == 0.0 and r.mean_score == 0.0 and r.guard_rounds == 0
+        for r in result.records
+    )
 
 
 def test_snapshot_hook_sees_initial_state_and_every_step():
@@ -240,6 +247,13 @@ def test_non_finite_scheme_output_is_a_blow_up():
     assert err.step == 7
     assert len(err.records) == 6
     assert np.isfinite(err.partial.values).all()
+
+
+@pytest.mark.usefixtures("crowded_nodes")
+def test_zero_width_cell_is_a_remesh_error():
+    cfg = small_config(scheme=SchemeKind.FTCS)
+    with pytest.raises(RemeshError, match="cell of zero width"):
+        run_simulation(cfg)
 
 
 class _Stop(Exception):

@@ -32,11 +32,6 @@ def test_mesh_rejects_bad_nodes():
         Mesh(np.array([0.0, 0.6, 0.4, 1.0]))
 
 
-def test_mesh_gaps():
-    mesh = Mesh(np.array([0.0, 0.1, 0.4, 1.0]))
-    assert np.allclose(mesh.gaps, [0.1, 0.3, 0.6])
-
-
 def test_grid_solution_length_mismatch():
     mesh = Mesh.uniform(5)
     with pytest.raises(ValueError):
@@ -47,7 +42,7 @@ def test_cell_geometry_from_uniform_mesh_is_uniform():
     mesh = Mesh.uniform(9)  # gaps are exact binary fractions
     geom = CellGeometry.from_mesh(mesh)
     assert np.all(geom.widths == geom.widths[0])
-    assert geom.widths[0] == mesh.gaps[0]
+    assert geom.widths[0] == mesh.nodes[1] - mesh.nodes[0]
     # interior interfaces sit exactly on node midpoints
     mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
     assert np.array_equal(geom.interfaces[1:-1], mids)

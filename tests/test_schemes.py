@@ -86,7 +86,7 @@ def test_schemes_reduce_to_classical_stencils_on_uniform_mesh():
     }
     for prob in (transport_problem(), burgers_problem()):
         sol = uniform_state(17, seed=11)
-        h = sol.mesh.gaps[0]
+        h = sol.mesh.nodes[1] - sol.mesh.nodes[0]
         dt = 0.4 * h
         ctx = StepContext.for_solution(sol, dt, 0.4)
         for kind, oracle in oracles.items():
@@ -114,7 +114,7 @@ def test_constant_states_are_fixed_points():
             GridSolution(Mesh.uniform(16), np.full(16, c)),
             GridSolution(random_nonuniform_state(16, seed=21).mesh, np.full(16, c)),
         ):
-            dt = 0.4 * sol.mesh.gaps.min()
+            dt = 0.4 * np.diff(sol.mesh.nodes).min()
             ctx = StepContext.for_solution(sol, dt, 0.4)
             for prob in (transport_problem(), burgers_problem()):
                 for kind in SchemeKind:
@@ -130,7 +130,7 @@ def test_ftcs_direct_and_conservative_forms_agree():
     # interface fluxes first is algebraically the same update.
     for seed in (41, 43, 47):
         sol = random_nonuniform_state(25, seed=seed)
-        dt = 0.3 * sol.mesh.gaps.min()
+        dt = 0.3 * np.diff(sol.mesh.nodes).min()
         ctx = StepContext.for_solution(sol, dt, 0.3)
         h = ctx.cell_widths
         for prob in (transport_problem(), burgers_problem()):
@@ -151,7 +151,7 @@ def test_single_nonuniform_step_matches_scalar_transcription():
     values = np.array([0.9, -0.4, 0.6, 0.1, -0.2])
     sol = GridSolution(Mesh(nodes), values)
     prob = burgers_problem()
-    dt = 0.3 * sol.mesh.gaps.min()
+    dt = 0.3 * np.diff(sol.mesh.nodes).min()
     ctx = StepContext.for_solution(sol, dt, 0.3)
     h = ctx.cell_widths.tolist()
     u = values.tolist()
@@ -193,7 +193,7 @@ def test_single_nonuniform_step_matches_scalar_transcription():
 
 def test_schemes_freeze_boundary_values():
     sol = uniform_state(13, seed=5)
-    dt = 0.3 * sol.mesh.gaps[0]
+    dt = 0.3 * (sol.mesh.nodes[1] - sol.mesh.nodes[0])
     ctx = StepContext.for_solution(sol, dt, 0.3)
     for kind in SchemeKind:
         out = scheme_step(kind, sol, ctx, burgers_problem())
