@@ -157,7 +157,9 @@ def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
     k - m + 1 - j steps after the extreme appeared, weighted by a binomial
     count of clip/grow paths. The count binom(m - 1 + j, j) comes from the
     multiplicative recurrence, whose intermediates are integers far below
-    2**53 for the supported k up to 60; larger k raises.
+    2**53 for the supported k up to 60; larger k raises. The power
+    ``c ** (m - 1)`` is a Python float power, so a growth constant large
+    enough to take it past float64 raises ``OverflowError``.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")

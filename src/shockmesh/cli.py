@@ -63,7 +63,6 @@ _KEYS = {
     "epsilon": (float, EstimatorParams.floor),
     "pw": (float, EstimatorParams.power),
     "eps_corr": (float, ExtremeGuardParams.nudge_factor),
-    "remesh_reps": (int, RunConfig.remesh_repetitions),
     "x0": (float, RunConfig.jump_position),
 }
 
@@ -148,7 +147,6 @@ def build_run_config(settings: dict) -> RunConfig:
             adaptive=settings["adaptive"],
             estimator=estimator,
             guard=guard,
-            remesh_repetitions=settings["remesh_reps"],
             jump_position=settings["x0"],
         )
     except ValueError as exc:
@@ -271,7 +269,10 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     Raises RuntimeError at the first failed check, so no line of a table
     that fails is ever written.
     """
-    table = extreme_bound_table(params, last_step)
+    try:
+        table = extreme_bound_table(params, last_step)
+    except ValueError:
+        raise RuntimeError("recursion leaves float64") from None
     uniform = [uniform_extreme_bound(params, m) for m in range(1, last_step + 1)]
     envelope = (
         params.variation_scale
@@ -290,7 +291,10 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
         partial = 0.0
         for m in range(1, k + 1):
             rec = values[m][k]
-            closed = extreme_bound_closed_form(params, m, k)
+            try:
+                closed = extreme_bound_closed_form(params, m, k)
+            except OverflowError:
+                raise RuntimeError(f"closed form leaves float64 at m={m}, k={k}") from None
             if abs(closed - rec) > 1e-10 * (1.0 + rec):
                 raise RuntimeError(f"closed form mismatch at m={m}, k={k}")
             if rec > previous * slack:

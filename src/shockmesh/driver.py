@@ -43,15 +43,14 @@ __all__ = [
     "StepRecord",
     "RunResult",
     "front_window",
-    "measure_overshoot",
-    "measure_shock_increase",
+    "measure_front",
     "run_simulation",
 ]
 
 _MAGNITUDE_LIMIT = 1e8
 
 # The report of a step on the uniform mesh: no guard ran, every score reads 0.
-_UNGUARDED = ExtremeGuardReport(np.empty(0), 0, 0)
+_UNGUARDED = ExtremeGuardReport(0.0, 0.0, 0, 0)
 
 
 class BlowUpError(RuntimeError):
@@ -83,10 +82,7 @@ class RunConfig:
     adaptive: bool = True
     estimator: EstimatorParams = field(default_factory=EstimatorParams)
     guard: ExtremeGuardParams | None = None
-    remesh_repetitions: int = 1
     jump_position: float = 0.5
-    high: float = 1.0
-    low: float = 0.0
 
     def __post_init__(self):
         if not (isinstance(self.n, numbers.Integral) and self.n >= 10):
@@ -95,11 +91,6 @@ class RunConfig:
             raise ValueError("cfl_target must lie in (0, 1]")
         if not (np.isfinite(self.final_time) and self.final_time >= 0.0):
             raise ValueError("final_time must be non-negative and finite")
-        if not (
-            isinstance(self.remesh_repetitions, numbers.Integral)
-            and self.remesh_repetitions >= 1
-        ):
-            raise ValueError("remesh_repetitions must be an integer of at least 1")
         if not (0.0 < self.jump_position < 1.0):
             raise ValueError("jump_position must lie in the open interval (0, 1)")
         if self.guard is None:
@@ -173,54 +164,38 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
     return int(lo[best]), int(hi[best]) + 1
 
 
-def measure_overshoot(
-    values: np.ndarray, reference_high: float, window: tuple[int, int] | None
-) -> float:
-    """Magnitude of the leading overshoot above the initial high state."""
-    if window is None:
-        return 0.0
-    lo, hi = window
-    peak = float(values[lo : hi + 1].max())
-    return max(peak - reference_high, 0.0)
+def measure_front(
+    values: np.ndarray, reference_high: float, growth_constant: float
+) -> tuple[float, float]:
+    """The front's overshoot and fresh oscillation size, as (overshoot, increase).
 
-
-def measure_shock_increase(
-    values: np.ndarray,
-    window: tuple[int, int] | None,
-    overshoot: float,
-    growth_constant: float,
-) -> float:
-    """Fresh oscillation size fed into the bound chain this step.
-
-    ``window`` is the front window of ``values`` (see :func:`front_window`),
-    taken the same way as by :func:`measure_overshoot`. Takes the jump from
-    the shock-top node (rightmost maximum inside the front window) to its
-    right neighbour, removes twice the current overshoot, clamps at zero and
-    scales by the growth constant.
-
-    The candidate top node only counts as a shock top when the profile
-    actually tops out there: at least as high as its left neighbour and
-    strictly above its right one. On a monotone front the window maximum is
-    just the window edge partway down the slope, there is no top feeding
-    new oscillations, and the measured increase is zero. A flat solution,
-    or a top node on the right boundary, likewise contributes nothing.
+    Both are read in the front window of ``values`` (see :func:`front_window`);
+    data with no variation gives (0.0, 0.0). The overshoot is the window
+    maximum's excess over ``reference_high``, clamped at zero. The increase
+    is the jump from the shock top (rightmost window maximum) to its right
+    neighbour, less twice the overshoot, clamped at zero and scaled by
+    ``growth_constant``. The top only counts where the profile tops out: at
+    least as high as its left neighbour and strictly above its right one.
+    On a monotone front the window maximum is just the window edge partway
+    down the slope and no top feeds new oscillations, so the increase is
+    zero, as it is for a top on the right boundary.
     """
-    if overshoot < 0.0:
-        raise ValueError("overshoot must be non-negative")
+    window = front_window(values)
     if window is None:
-        return 0.0
+        return 0.0, 0.0
     lo, hi = window
     segment = values[lo : hi + 1]
-    top_local = int((segment == segment.max()).nonzero()[0][-1])
-    top = lo + top_local
-    if top + 1 >= values.size:
-        return 0.0
-    if top > 0 and values[top] < values[top - 1]:
-        return 0.0
-    if not values[top] > values[top + 1]:
-        return 0.0
+    peak = segment.max()
+    overshoot = max(float(peak) - reference_high, 0.0)
+    top = lo + int((segment == peak).nonzero()[0][-1])
+    if (
+        top + 1 >= values.size
+        or (top > 0 and values[top] < values[top - 1])
+        or not values[top] > values[top + 1]
+    ):
+        return overshoot, 0.0
     raw = max(abs(float(values[top] - values[top + 1])) - 2.0 * overshoot, 0.0)
-    return growth_constant * raw
+    return overshoot, growth_constant * raw
 
 
 def run_simulation(
@@ -233,10 +208,8 @@ def run_simulation(
     state and after every completed step; blow-ups raise before the hook
     sees the bad state.
     """
-    mesh = Mesh.uniform(config.n)
-    initial = make_jump_initial(
-        mesh, config.jump_position, high=config.high, low=config.low
-    )
+    initial = make_jump_initial(Mesh.uniform(config.n), config.jump_position)
+    high = float(initial.values.max())
     current = initial
     tv0 = total_variation(initial.values)
     growth = config.growth_constant
@@ -251,12 +224,9 @@ def run_simulation(
     while remaining > 0.0:
         step += 1
         if config.adaptive:
-            for _ in range(config.remesh_repetitions):
-                current, report = remesh_step(current, config.estimator, config.guard)
+            current, report = remesh_step(current, config.estimator, config.guard)
 
-        window = front_window(current.values)
-        overshoot = measure_overshoot(current.values, config.high, window)
-        increase = measure_shock_increase(current.values, window, overshoot, growth)
+        overshoot, increase = measure_front(current.values, high, growth)
 
         widths = CellGeometry.from_mesh(current.mesh).widths
         dt = choose_dt(

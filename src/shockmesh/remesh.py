@@ -81,19 +81,21 @@ class ExtremeGuardParams:
 
 @dataclass(frozen=True)
 class ExtremeGuardReport:
-    """Outcome of one guard enforcement: final scores and effort spent."""
+    """Outcome of one guard enforcement: final scores and effort spent.
 
-    scores: np.ndarray
+    Both scores read 0.0 when no output node sits next to an old extreme.
+    """
+
+    max_score: float
+    mean_score: float
     rounds: int
     corrections: int
 
-    @property
-    def max_score(self) -> float:
-        return float(self.scores.max()) if self.scores.size else 0.0
 
-    @property
-    def mean_score(self) -> float:
-        return float(self.scores.mean()) if self.scores.size else 0.0
+def _report(scores: np.ndarray, rounds: int, corrections: int) -> ExtremeGuardReport:
+    max_score = float(scores.max()) if scores.size else 0.0
+    mean_score = float(scores.mean()) if scores.size else 0.0
+    return ExtremeGuardReport(max_score, mean_score, rounds, corrections)
 
 
 def _extreme_mask(old: GridSolution) -> np.ndarray:
@@ -109,7 +111,7 @@ def _scan_guarded(
     extreme: np.ndarray,
     proposed_nodes: np.ndarray,
     growth_constant: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score interior proposed nodes that landed next to an old extreme.
 
     ``x_old`` are the old mesh nodes and ``extreme`` flags the old
@@ -117,11 +119,11 @@ def _scan_guarded(
     with a strict extreme at one end scores (1 + 3 * growth_constant) times
     its relative distance from the non-extreme end: 1 + 3C on top of the
     extreme, 0 at the far end. When both ends are extremes the larger score
-    wins. Returns the indices of the affected proposed nodes, the indices
-    of the old intervals hosting them, and their scores; a score below 1
-    means the node is safely inside the far sliver of its interval.
+    wins. Returns the indices of the affected proposed nodes and their
+    scores; a score below 1 means the node is safely inside the far sliver
+    of its interval.
     """
-    none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    none = (np.empty(0, dtype=np.intp), np.empty(0))
     if not extreme.any():
         return none
 
@@ -144,7 +146,7 @@ def _scan_guarded(
     # score (the nearer extreme) governs.
     score_from_left = np.where(left_ext[sel], (xr - xj) / width * factor, -np.inf)
     score_from_right = np.where(right_ext[sel], (xj - xl) / width * factor, -np.inf)
-    return sel + 1, cell, np.maximum(score_from_left, score_from_right)
+    return sel + 1, np.maximum(score_from_left, score_from_right)
 
 
 def enforce_extreme_guard(
@@ -189,7 +191,7 @@ def enforce_extreme_guard(
     sorted, a walked coordinate equal to another node raises
     ``RemeshError``, and only then does a walk that hit the cap raise
     ``GuardConvergenceError`` with the largest score left. One vectorised
-    scan on exit gives the report's scores.
+    scan on exit gives the scores that the report summarises.
 
     When no node offends, the proposed nodes are the output. Either way
     the output is checked once: nodes that are not finite and strictly
@@ -197,12 +199,10 @@ def enforce_extreme_guard(
     """
     x_old = old.mesh.nodes
     extreme = _extreme_mask(old)
-    indices, _cells, scores = _scan_guarded(
-        x_old, extreme, proposed.nodes, params.growth_constant
-    )
+    indices, scores = _scan_guarded(x_old, extreme, proposed.nodes, params.growth_constant)
     walkers = indices[scores >= 1.0]
     if not walkers.size:
-        return _checked_mesh(proposed.nodes), ExtremeGuardReport(scores, 0, 0)
+        return _checked_mesh(proposed.nodes), _report(scores, 0, 0)
     xo = x_old.tolist()
     ext = extreme.tolist()
     last_cell = len(xo) - 2
@@ -265,8 +265,8 @@ def enforce_extreme_guard(
             f"proximity scores still reach {max(capped):.6g} "
             f"after {params.max_rounds} correction rounds"
         )
-    _indices, _cells, scores = _scan_guarded(x_old, extreme, x_new, params.growth_constant)
-    return _checked_mesh(x_new), ExtremeGuardReport(scores, max(lengths), sum(lengths))
+    _indices, scores = _scan_guarded(x_old, extreme, x_new, params.growth_constant)
+    return _checked_mesh(x_new), _report(scores, max(lengths), sum(lengths))
 
 
 def _checked_mesh(nodes: np.ndarray) -> Mesh:

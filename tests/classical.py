@@ -4,9 +4,11 @@ The textbook uniform-grid stencils are written independently of the
 package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
 fixed). The scan references are plain loops that the package's vectorised
-front window and extreme guard must match. The bound references are the
-step recurrence, binomial closed form and contribution sum as written on
-numpy scalars, which the package's plain-float forms must match bitwise.
+front window and extreme guard must match. The two front diagnostics, one
+pass each over the front window, are what the package's one-pass front
+measurement must match bitwise. The bound references are the step
+recurrence, binomial closed form and contribution sum as written on numpy
+scalars, which the package's plain-float forms must match bitwise.
 The last two helpers measure a state's CFL number and spot-check a flux for
 convexity.
 """
@@ -69,6 +71,42 @@ def front_window_two_pointer(values, fraction=0.9):
     if best is None:
         return None
     return best[0], best[1] + 1
+
+
+def measure_overshoot(values, reference_high, window):
+    """Magnitude of the leading overshoot above the initial high state."""
+    if window is None:
+        return 0.0
+    lo, hi = window
+    peak = float(values[lo : hi + 1].max())
+    return max(peak - reference_high, 0.0)
+
+
+def measure_shock_increase(values, window, overshoot, growth_constant):
+    """Fresh oscillation size at the shock top of the front ``window``.
+
+    Takes the jump from the shock-top node (rightmost maximum inside the
+    window) to its right neighbour, removes twice the overshoot, clamps at
+    zero and scales by the growth constant; zero when the profile does not
+    top out there (not at least its left neighbour, not strictly above its
+    right one, or on the right boundary) or has no window at all.
+    """
+    if overshoot < 0.0:
+        raise ValueError("overshoot must be non-negative")
+    if window is None:
+        return 0.0
+    lo, hi = window
+    segment = values[lo : hi + 1]
+    top_local = int((segment == segment.max()).nonzero()[0][-1])
+    top = lo + top_local
+    if top + 1 >= values.size:
+        return 0.0
+    if top > 0 and values[top] < values[top - 1]:
+        return 0.0
+    if not values[top] > values[top + 1]:
+        return 0.0
+    raw = max(abs(float(values[top] - values[top + 1])) - 2.0 * overshoot, 0.0)
+    return growth_constant * raw
 
 
 def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None):

@@ -59,7 +59,6 @@ def test_parse_config_defaults_and_comments():
     assert settings["epsilon"] == 1e-15
     assert settings["pw"] == 0.9
     assert settings["eps_corr"] == 0.2
-    assert settings["remesh_reps"] == 1
     assert settings["x0"] == 0.5
 
 
@@ -68,6 +67,7 @@ def test_parse_config_defaults_and_comments():
     [
         BASE_CONFIG + "n = 50\n",  # duplicate
         BASE_CONFIG + "mystery = 1\n",  # unknown key
+        BASE_CONFIG + "remesh_reps = 2\n",  # removed key: one rebuild per step
         BASE_CONFIG + "just a line\n",  # not key=value
         BASE_CONFIG.replace("n = 40", "n = forty"),
         BASE_CONFIG.replace("cfl = 0.5", "cfl = fast"),
@@ -85,7 +85,7 @@ def test_parse_config_rejections(bad):
 def test_build_run_config_maps_every_knob():
     settings = parse_config(
         BASE_CONFIG
-        + "epsilon = 1e-12\npw = 0.8\neps_corr = 0.3\nremesh_reps = 2\nx0 = 0.4\n"
+        + "epsilon = 1e-12\npw = 0.8\neps_corr = 0.3\nx0 = 0.4\n"
         + "adaptive = false\n"
     )
     cfg = build_run_config(settings)
@@ -99,7 +99,6 @@ def test_build_run_config_maps_every_knob():
     assert cfg.guard is not None
     assert cfg.guard.nudge_factor == 0.3
     assert cfg.guard.growth_constant == evolution_constant(SchemeKind.RICHTMYER, 0.5)
-    assert cfg.remesh_repetitions == 2
     assert cfg.jump_position == 0.4
 
 
@@ -413,6 +412,27 @@ def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, mo
     assert main([*argv, str(out)]) == 4
     assert not out.exists()
     assert "closed form mismatch at m=1, k=1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # c ** (m - 1) in the closed form is a float power past float64
+        (["--lambda", "1e-7", "--c", "2e5", "--m", "1", "--kmax", "60"],
+         "closed form leaves float64 at m=60, k=60"),
+        # the recursion's entries grow past float64 on the first row
+        (["--lambda", "0.24", "--c", "1", "--m", "1e308", "--kmax", "60"],
+         "recursion leaves float64"),
+    ],
+    ids=["closed_form", "recursion"],
+)
+def test_theory_table_leaving_float64_exits_four_without_output(
+    tmp_path, capsys, argv, message
+):
+    out = tmp_path / "bounds.csv"
+    assert main(["theory", *argv, str(out)]) == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: bound table failed its self-check: {message}\n"
 
 
 class _InflatedColumnSums(ExtremeBoundTable):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classical
+import shockmesh.driver as driver
 from shockmesh import (
     BlowUpError,
     BoundParams,
@@ -24,8 +25,7 @@ from shockmesh import (
     evolution_constant,
     front_window,
     make_jump_initial,
-    measure_overshoot,
-    measure_shock_increase,
+    measure_front,
     run_simulation,
     total_variation,
     tv_increase_bound_from_contributions,
@@ -56,12 +56,8 @@ def test_run_config_validation():
         small_config(cfl_target=1.5)
     with pytest.raises(ValueError):
         small_config(final_time=-0.1)
-    with pytest.raises(ValueError):
-        small_config(remesh_repetitions=0)
     with pytest.raises(ValueError, match="n must be an integer"):
         small_config(n=10.5)
-    with pytest.raises(ValueError, match="remesh_repetitions"):
-        small_config(remesh_repetitions=1.5)
 
 
 @pytest.mark.parametrize("x0", [0.0, 1.0, -0.1, 1.5, float("nan")])
@@ -130,40 +126,71 @@ def test_front_window_matches_two_pointer_scan_on_fixed_cases(fraction):
         assert front_window(values, fraction) == expected
 
 
-def test_measure_overshoot():
-    values = np.array([0.0, 1.2, 1.0, 0.0])
+def test_measure_front_overshoot():
+    overshoot, _ = measure_front(np.array([0.0, 1.2, 1.0, 0.0]), 1.0, 0.5)
+    assert overshoot == pytest.approx(0.2, rel=1e-15)
+    assert measure_front(np.full(8, 1.5), 1.0, 0.5) == (0.0, 0.0)
+
+
+def test_front_increase_subtracts_twice_the_overshoot():
+    # overshoot 0.125 above the high state; 0.5 * (0.875 - 2 * 0.125)
+    assert measure_front(np.array([0.0, 1.125, 0.25, 0.0]), 1.0, 0.5) == (0.125, 0.3125)
+
+
+def test_front_increase_vanishes_when_overshoot_covers_gap():
+    assert measure_front(np.array([0.0, 1.5, 0.75, 0.0]), 1.0, 0.5) == (0.5, 0.0)
+
+
+def test_front_increase_plain_gap_without_overshoot():
+    # a top at or below the high state overshoots by zero, never less
+    assert measure_front(np.array([0.0, 1.0, 0.625, 0.0]), 1.0, 0.5) == (0.0, 0.1875)
+    assert measure_front(np.array([0.0, 0.75, 0.375, 0.0]), 1.0, 0.5) == (0.0, 0.1875)
+
+
+def test_front_increase_zero_without_identifiable_top():
+    # strictly falling ramp above the high state: the window maximum is just
+    # the window's left edge partway down the slope, not a shock top
+    ramp = np.array([2.0, 1.9375, 1.6875, 1.1875, 0.6875, 0.4375, 0.375])
+    assert front_window(ramp) == (1, 5)
+    assert measure_front(ramp, 1.0, 0.5) == (0.9375, 0.0)
+
+
+def test_front_increase_zero_for_a_top_on_the_right_boundary():
+    assert measure_front(np.array([0.0, 0.0, 1.25]), 1.0, 0.5) == (0.25, 0.0)
+
+
+# Levels on a coarse dyadic grid (frequent ties between window maxima) or
+# arbitrary floats, each held for one to four nodes (plateaus).
+_front_levels = st.one_of(
+    st.integers(-16, 16).map(lambda i: i / 8.0), st.floats(-2.0, 2.0)
+)
+_front_profiles = st.one_of(
+    st.lists(
+        st.tuples(_front_levels, st.integers(1, 4)), min_size=1, max_size=40
+    ).map(lambda runs: np.repeat([v for v, _ in runs], [r for _, r in runs])),
+    st.builds(np.full, st.integers(1, 12), _front_levels),
+    st.lists(_front_levels, min_size=1, max_size=40).map(
+        lambda xs: np.array(sorted(xs, reverse=True))
+    ),
+    st.lists(_front_levels, min_size=1, max_size=40).map(lambda xs: np.array(sorted(xs))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=_front_profiles,
+    reference_high=_front_levels,
+    growth_constant=st.floats(0.0, 2.0),
+)
+def test_measure_front_matches_the_two_pass_diagnostics(
+    values, reference_high, growth_constant
+):
+    values = np.asarray(values, dtype=np.float64)
     window = front_window(values)
-    assert measure_overshoot(values, 1.0, window) == pytest.approx(0.2, rel=1e-15)
-    assert measure_overshoot(values, 1.0, None) == 0.0
-
-
-def _shock_increase(values, overshoot, growth_constant):
-    vals = np.asarray(values, dtype=np.float64)
-    return measure_shock_increase(vals, front_window(vals), overshoot, growth_constant)
-
-
-def test_shock_increase_subtracts_twice_the_overshoot():
-    assert _shock_increase([0.0, 1.0, 0.2, 0.0], 0.1, 0.5) == pytest.approx(0.3, rel=1e-14)
-
-
-def test_shock_increase_vanishes_when_overshoot_covers_gap():
-    assert _shock_increase([0.0, 1.0, 0.2, 0.0], 0.45, 0.5) == 0.0
-
-
-def test_shock_increase_plain_gap_when_no_overshoot():
-    assert _shock_increase([0.0, 1.0, 0.6, 0.0], 0.0, 0.5) == pytest.approx(0.2, rel=1e-14)
-
-
-def test_shock_increase_zero_without_identifiable_top():
-    # strictly falling ramp: the window maximum is just the window's left
-    # edge partway down the slope, not a shock top
-    assert _shock_increase([1.0, 0.95, 0.8, 0.5, 0.2, 0.05, 0.0], 0.0, 0.5) == 0.0
-    assert _shock_increase(np.full(12, 0.7), 0.0, 0.5) == 0.0
-
-
-def test_shock_increase_rejects_negative_overshoot():
-    with pytest.raises(ValueError):
-        _shock_increase([0.0, 1.0, 0.0], -0.01, 0.5)
+    overshoot = classical.measure_overshoot(values, reference_high, window)
+    increase = classical.measure_shock_increase(values, window, overshoot, growth_constant)
+    got = measure_front(values, reference_high, growth_constant)
+    assert [x.hex() for x in got] == [overshoot.hex(), increase.hex()]
 
 
 def test_zero_final_time_returns_initial_state_exactly():
@@ -197,10 +224,17 @@ def test_snapshot_hook_sees_initial_state_and_every_step():
     assert seen[-1][1] == pytest.approx(small_config().final_time, rel=1e-12)
 
 
-def test_boundary_values_stay_frozen_over_a_run():
-    result = run_simulation(small_config(high=2.0, low=-1.0))
+def test_boundary_values_stay_frozen_over_a_run(monkeypatch):
+    monkeypatch.setattr(
+        driver,
+        "make_jump_initial",
+        lambda mesh, x0: make_jump_initial(mesh, x0, high=2.0, low=-1.0),
+    )
+    result = run_simulation(small_config())
     assert result.final.values[0] == 2.0
     assert result.final.values[-1] == -1.0
+    # the overshoot is read against the data's own high state, 2.0
+    assert max(r.overshoot for r in result.records) < 0.5
 
 
 def test_uniform_ftcs_on_burgers_blows_up(uniform_runs):
@@ -293,7 +327,7 @@ def test_step_loop_runs_no_public_validation(monkeypatch, adaptive):
 
         monkeypatch.setattr(cls, "__post_init__", counted)
     result = run_simulation(
-        small_config(adaptive=adaptive, remesh_repetitions=2, final_time=0.1)
+        small_config(adaptive=adaptive, final_time=0.1)
     )
     assert result.steps > 5
     # the initial mesh and the initial data only

@@ -4,8 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import shockmesh
-from shockmesh import bounds, driver, grid, monitor, remesh, schemes
+from shockmesh import bounds, cli, driver, grid, monitor, remesh, schemes
 
 PUBLIC_NAMES = [
     "BlowUpError",
@@ -43,8 +45,7 @@ PUBLIC_NAMES = [
     "interpolate_update",
     "interpolation_smoothing_residual",
     "make_jump_initial",
-    "measure_overshoot",
-    "measure_shock_increase",
+    "measure_front",
     "piecewise_linear_sample",
     "regularize_curvature",
     "remesh_step",
@@ -84,3 +85,36 @@ def test_import_leaves_the_cli_unloaded():
         timeout=60,
     )
     assert done.stdout.strip() == "False"
+
+
+def test_names_the_benchmark_traces_exist():
+    # perfbench/run.py looks these up and its tracer wraps them by name; a
+    # rename would otherwise show only in the benchmark's own runs
+    for module, name in [
+        (driver, "front_window"),
+        (remesh, "enforce_extreme_guard"),
+        (grid, "detect_extremes"),
+        (cli, "run_simulation"),
+        (grid.CellGeometry, "from_mesh"),
+        (grid.Mesh, "__post_init__"),
+    ]:
+        assert callable(getattr(module, name)), name
+    old = grid.GridSolution(
+        grid.Mesh(np.array([-1.0, 0.0, 1.0, 2.0])), np.array([0.0, 1.0, 0.0, -1.0])
+    )
+    _, report = remesh.enforce_extreme_guard(
+        old, grid.Mesh(np.array([-1.0, 0.5, 2.0])), remesh.ExtremeGuardParams(1.0)
+    )
+    assert (report.rounds, report.corrections) == (3, 3)
+
+
+def test_measure_front_finds_the_front_once(monkeypatch):
+    # the tracer counts driver.front_window calls per step through this global
+    real = driver.front_window
+    calls = []
+    monkeypatch.setattr(
+        driver, "front_window", lambda *args: calls.append(args) or real(*args)
+    )
+    values = np.array([0.0, 1.25, 1.0, 0.0])
+    assert driver.measure_front(values, 1.0, 0.5) == (0.25, 0.0)
+    assert len(calls) == 1 and calls[0][0] is values
