@@ -3,25 +3,32 @@
 Two subcommands. ``simulate <config> <outdir>`` runs one simulation from a
 flat key=value config file and writes snapshots.csv, tv_series.csv and
 manifest.json; ``theory --lambda --c --m --kmax <out>`` sweeps the bound
-table under sustained forcing and writes bounds.csv. Exit codes: 0 success,
-2 unusable configuration, parameters or paths (a config file that cannot be
-read or is not valid text, an output directory that cannot be created, or a
-table path that cannot be written; nothing is created or written) or
-simulate outputs that cannot be written (every file the run wrote is removed
-again), 3 runtime blow-up (partial outputs are kept), 4 a failed mesh
-reconstruction (manifest only) or a bound table that failed its self-check
-(no file). All numbers are serialized with 17 significant digits, so the CSV outputs of identical
+table under sustained forcing and writes bounds.csv. While it runs,
+``simulate`` keeps no step's arrays in memory: it spills each step's values,
+and the nodes of each new mesh, to an unnamed temporary file in the output
+directory (about 8*N bytes per step on a fixed mesh, 16*N on an adaptive
+one), which is gone when the command ends, and reads back only the steps
+that snapshots.csv keeps. Exit codes: 0 success, 2 unusable configuration,
+parameters or paths (a config file that cannot be read or is not valid text,
+an output directory that cannot be created, or a table path that cannot be
+written; nothing is created or written) or simulate outputs or a spill that
+cannot be written (every file the run wrote is removed again), 3 runtime
+blow-up (partial outputs are kept), 4 a failed mesh reconstruction (manifest
+only) or a bound table that failed its self-check (no file). All numbers are
+serialized with 17 significant digits, so the CSV outputs of identical
 configurations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
+import tempfile
 import time
-from itertools import chain
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +38,17 @@ from .bounds import (
     BoundParams,
     extreme_bound_closed_form,
     extreme_bound_table,
-    increase_contribution,
     total_increase_contribution,
     tv_increase_bound_from_contributions,
     tv_increase_bound_from_extremes,
     uniform_extreme_bound,
 )
 from .driver import BlowUpError, RunConfig, StepRecord, run_simulation
-from .grid import GridSolution, Problem, burgers_problem, transport_problem
+from .grid import Problem, burgers_problem, transport_problem
 from .monitor import EstimatorParams
 from .remesh import ExtremeGuardParams, RemeshError
 from .schemes import SchemeKind, evolution_constant
+from .snapshots import snapshot_lines, spill_hook
 
 __all__ = ["ConfigError", "parse_config", "build_run_config", "main"]
 
@@ -153,43 +160,29 @@ def build_run_config(settings: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _write_outputs(out: Path, outputs: dict[str, list[str] | None]) -> None:
+def _write_outputs(out: Path, outputs: dict[str, Iterable[str] | None]) -> None:
     """Write the named files into ``out`` and remove those mapped to None.
 
-    On an OSError, the files this call opened are removed again before the
+    Each file is written text by text, each text followed by a newline. On
+    an OSError, the files this call opened are removed again before the
     error propagates, so a failed write leaves none of them behind.
     """
     opened: list[Path] = []
     try:
-        for name, lines in outputs.items():
+        for name, texts in outputs.items():
             path = out / name
-            if lines is None:
+            if texts is None:
                 path.unlink(missing_ok=True)
                 continue
             with open(path, "w", newline="\n") as handle:
                 opened.append(path)
-                handle.write("\n".join(lines) + "\n")
+                for text in texts:
+                    handle.write(text)
+                    handle.write("\n")
     except OSError:
         for path in opened:
             path.unlink(missing_ok=True)
         raise
-
-
-def _snapshot_lines(
-    snapshots: list[tuple[int, float, GridSolution]], total_steps: int
-) -> list[str]:
-    cadence = max(1, math.ceil(total_steps / 50))
-    last = snapshots[-1][0]
-    lines = ["step,time,node_index,x,u"]
-    for step, instant, solution in snapshots:
-        if step % cadence != 0 and step != last:
-            continue
-        # One %-format per block: '%.17g' % x is the text of _fmt(x).
-        n = len(solution)
-        row = f"{step},{_fmt(instant)},%d,%.17g,%.17g"
-        fields = zip(range(n), solution.mesh.nodes.tolist(), solution.values.tolist())
-        lines.append("\n".join([row] * n) % tuple(chain.from_iterable(fields)))
-    return lines
 
 
 def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list[str]:
@@ -223,17 +216,46 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
-    snapshots: list[tuple[int, float, GridSolution]] = []
+    try:
+        # A 1 MiB write buffer: one write call per about 40 steps of an
+        # adaptive run at N = 1600, instead of two per step.
+        with tempfile.TemporaryFile(dir=out, buffering=1 << 20) as spill:
+            manifest = _simulate_into(out, spill, config, settings)
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        return 2
+    if manifest["status"] == "remesh_error":
+        print(
+            f"error: mesh reconstruction failed after step {manifest['steps']}: "
+            f"{manifest['error']}",
+            file=sys.stderr,
+        )
+        return 4
+    if manifest["status"] == "blow_up":
+        print(f"error: solution blew up at step {manifest['blow_up_step']}", file=sys.stderr)
+        return 3
+    return 0
+
+
+def _simulate_into(
+    out: Path, spill: io.BufferedRandom, config: RunConfig, settings: dict
+) -> dict:
+    """Run ``config``, spilling each step to ``spill``; write the outputs.
+
+    Returns the manifest. An OSError from the spill or from writing
+    propagates, and then no output file is left behind.
+    """
+    index: list[tuple[int, float, int, int]] = []
     start = time.perf_counter()
     blow_up_step = error = None
     try:
-        records = run_simulation(config, lambda *snapshot: snapshots.append(snapshot)).records
+        records = run_simulation(config, spill_hook(spill, index)).records
     except BlowUpError as exc:
         blow_up_step, records = exc.step, exc.records
     except RemeshError as exc:
         error = str(exc)
     # The hook has seen the initial state and every completed step.
-    steps = snapshots[-1][0]
+    steps = index[-1][0]
     manifest = {"command": "simulate", "status": "ok", "steps": steps}
     if error is not None:
         manifest.update(status="remesh_error", error=error)
@@ -244,23 +266,13 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     if error is None:
         manifest["outputs"] = {"snapshots": "snapshots.csv", "tv_series": "tv_series.csv"}
         csvs = {
-            "snapshots.csv": _snapshot_lines(snapshots, steps),
-            "tv_series.csv": _tv_series_lines(records),
+            "snapshots.csv": snapshot_lines(spill, index, config.n),
+            "tv_series.csv": ["\n".join(_tv_series_lines(records))],
         }
     if blow_up_step is not None:
         manifest.update(status="blow_up", blow_up_step=blow_up_step)
-    try:
-        _write_outputs(out, {**csvs, "manifest.json": [json.dumps(manifest, indent=2)]})
-    except OSError as exc:
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
-        return 2
-    if error is not None:
-        print(f"error: mesh reconstruction failed after step {steps}: {error}", file=sys.stderr)
-        return 4
-    if blow_up_step is not None:
-        print(f"error: solution blew up at step {blow_up_step}", file=sys.stderr)
-        return 3
-    return 0
+    _write_outputs(out, {**csvs, "manifest.json": [json.dumps(manifest, indent=2)]})
+    return manifest
 
 
 def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
@@ -286,6 +298,11 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     # One %-format per row: '%.17g' % x is the text of _fmt(x).
     row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
     values = table.values.tolist()
+    # The contribution clip * coupling**(k - m) * a_m, as increase_contribution
+    # computes it, from plain floats.
+    clip = params.clip_factor
+    coupling = params.coupling_sum
+    increases = params.increases.tolist()
     for k in range(1, last_step + 1):
         previous = math.inf
         partial = 0.0
@@ -305,7 +322,7 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
             partial += rec
             lines.append(row % (
                 m, k, rec, closed, uniform[m - 1],
-                increase_contribution(params, m, k), partial,
+                clip * coupling ** (k - m) * increases[m - 1], partial,
             ))
         if table.column_sum(k) > envelope * slack:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
@@ -340,7 +357,7 @@ def cmd_theory(
     out = Path(out_path)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        _write_outputs(out.parent, {out.name: lines})
+        _write_outputs(out.parent, {out.name: ["\n".join(lines)]})
     except OSError as exc:
         print(f"error: cannot write bound table: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,13 @@
 """Command-line harness: config parsing, outputs, exit codes."""
 
+import errno
+import gc
+import io
 import json
+import os
+import tempfile
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -21,13 +28,13 @@ from shockmesh import (
 from shockmesh.cli import (
     ConfigError,
     _fmt,
-    _snapshot_lines,
     _tv_series_lines,
     build_run_config,
     main,
     parse_config,
 )
 from shockmesh.grid import _trusted
+from shockmesh.snapshots import snapshot_lines, spill_hook
 
 BASE_CONFIG = """\
 # short smoke run
@@ -38,6 +45,15 @@ cfl = 0.5
 
 t_final = 0.02
 """
+
+BLOW_UP_CONFIG = (
+    BASE_CONFIG.replace("problem = transport", "problem = burgers")
+    .replace("scheme = richtmyer", "scheme = ftcs")
+    .replace("n = 40", "n = 100")
+    .replace("t_final = 0.02", "t_final = 0.3")
+    + "adaptive = false\n"
+)
+CSVS = ["manifest.json", "snapshots.csv", "tv_series.csv"]
 
 THEORY_ARGV = ["theory", "--lambda", "0.1", "--c", "1.0", "--m", "1.0", "--kmax", "5"]
 
@@ -199,12 +215,7 @@ def test_unusable_paths_exit_two_and_create_nothing(tmp_path, capsys, monkeypatc
 
 
 def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):
-    text = BASE_CONFIG.replace("problem = transport", "problem = burgers")
-    text = text.replace("scheme = richtmyer", "scheme = ftcs")
-    text = text.replace("n = 40", "n = 100")
-    text = text.replace("t_final = 0.02", "t_final = 0.3")
-    text += "adaptive = false\n"
-    cfg = write_config(tmp_path, text)
+    cfg = write_config(tmp_path, BLOW_UP_CONFIG)
     out = tmp_path / "out"
     assert main(["simulate", str(cfg), str(out)]) == 3
     assert "blew up" in capsys.readouterr().err
@@ -326,6 +337,106 @@ def test_simulate_unwritable_output_exits_two_and_leaves_no_output(
     # wrote before the failure is gone again.
     assert [path.name for path in out.iterdir()] == [blocked]
     assert not any((out / blocked).iterdir())
+
+
+def test_simulate_keeps_no_step_in_memory(tmp_path, monkeypatch):
+    # A uniform run of 100+ steps: once it returns, only the initial and
+    # final values (held by its result) and one in flight may be alive.
+    real_run = cli.run_simulation
+    alive = []
+
+    def watching_run(config, snapshot_hook=None):
+        refs = []
+
+        def hook(step, instant, solution):
+            refs.append(weakref.ref(solution.values))
+            snapshot_hook(step, instant, solution)
+
+        result = real_run(config, hook)
+        gc.collect()
+        alive.append((len(refs), sum(ref() is not None for ref in refs)))
+        return result
+
+    monkeypatch.setattr(cli, "run_simulation", watching_run)
+    text = BASE_CONFIG.replace("n = 40", "n = 400").replace("t_final = 0.02", "t_final = 0.15")
+    text += "adaptive = false\n"
+    assert main(["simulate", str(write_config(tmp_path, text)), str(tmp_path / "out")]) == 0
+    [(seen, kept)] = alive
+    assert seen > 100 and kept <= 3
+
+
+def main_without_resource_warnings(argv):
+    """Run ``main``; fail on any ResourceWarning, such as an unclosed file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return main(argv)
+        finally:
+            gc.collect()
+            leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+            assert not leaks, [str(w.message) for w in leaks]
+
+
+@pytest.mark.parametrize(
+    "config, rc, files",
+    [(BASE_CONFIG, 0, CSVS), (BLOW_UP_CONFIG, 3, CSVS), (None, 4, ["manifest.json"])],
+    ids=["ok", "blow_up", "remesh_error"],
+)
+def test_simulate_leaves_exactly_its_outputs(tmp_path, capsys, monkeypatch, config, rc, files):
+    if config is None:
+        fail_after_step_3(monkeypatch, RemeshError("reconstructed mesh is not usable"))
+    out = tmp_path / "out"
+    argv = ["simulate", str(write_config(tmp_path, config or BASE_CONFIG)), str(out)]
+    assert main_without_resource_warnings(argv) == rc
+    assert sorted(path.name for path in out.iterdir()) == files
+
+
+@pytest.mark.parametrize("blocked", ["snapshots.csv", "tv_series.csv", "manifest.json"])
+def test_simulate_unwritable_output_closes_every_file(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = ["simulate", str(write_config(tmp_path)), str(out)]
+    assert main_without_resource_warnings(argv) == 2
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
+def test_simulate_unexpected_error_leaves_no_file(tmp_path, monkeypatch):
+    fail_after_step_3(monkeypatch, ZeroDivisionError("not a documented failure"))
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError):
+        main_without_resource_warnings(["simulate", str(write_config(tmp_path)), str(out)])
+    assert list(out.iterdir()) == []
+
+
+class _FullDisk(io.BytesIO):
+    """A spill file whose device fills up after ``room`` bytes."""
+
+    def __init__(self, room):
+        super().__init__()
+        self.room = room
+
+    def write(self, data):
+        if self.tell() + memoryview(data).nbytes > self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(data)
+
+
+def _no_temporary_file(*args, **kwargs):
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+@pytest.mark.parametrize(
+    "spill",
+    [_no_temporary_file, lambda **kwargs: _FullDisk(0), lambda **kwargs: _FullDisk(5000)],
+    ids=["cannot_create", "full_at_once", "full_mid_run"],
+)
+def test_simulate_failed_spill_exits_two_and_leaves_no_file(tmp_path, capsys, monkeypatch, spill):
+    monkeypatch.setattr(tempfile, "TemporaryFile", spill)
+    out = tmp_path / "out"
+    assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -491,17 +602,95 @@ def test_theory_each_self_check_exits_four_without_output(
     assert capsys.readouterr().err == f"error: bound table failed its self-check: {message}\n"
 
 
-def test_snapshot_lines_match_per_value_formatting():
-    mesh = Mesh(np.array([-5e-324, 0.0, 1e-310, 1.0 / 3.0, 2.0**60]))
-    values = np.array([-0.0, 5e-324, -1e300, 0.1, 123456789.123456789])
-    solution = GridSolution(mesh, values)
-    lines = _snapshot_lines([(0, 0.0, solution), (1, 0.1, solution)], 1)
-    expected = ["step,time,node_index,x,u"] + [
+def snapshot_csv_lines(snapshots):
+    """The snapshots.csv lines of (step, time, solution) triples, written
+    through the CLI's spill hook and read back by ``snapshot_lines``."""
+    with tempfile.TemporaryFile() as spill:
+        index = []
+        hook = spill_hook(spill, index)
+        for snapshot in snapshots:
+            hook(*snapshot)
+        lines = "\n".join(snapshot_lines(spill, index, len(snapshots[0][2])))
+    return lines.split("\n")
+
+
+def per_value_lines(snapshots):
+    return ["step,time,node_index,x,u"] + [
         f"{step},{_fmt(t)},{i},{_fmt(x)},{_fmt(u)}"
-        for step, t in ((0, 0.0), (1, 0.1))
-        for i, (x, u) in enumerate(zip(mesh.nodes, values))
+        for step, t, solution in snapshots
+        for i, (x, u) in enumerate(zip(solution.mesh.nodes, solution.values))
     ]
-    assert "\n".join(lines).split("\n") == expected
+
+
+EDGE_NODES = np.array([-5e-324, 0.0, 1e-310, 1.0 / 3.0, 2.0**60])
+EDGE_VALUES = np.array([-0.0, 5e-324, -1e300, 0.1, 123456789.123456789])
+# Both zeros and subnormals of both signs, each more than once.
+SIGNED_ZEROS = np.array([0.0, -0.0, 5e-324, -5e-324, 0.0, 2.2250738585072009e-308, -0.0])
+
+
+def test_snapshot_lines_match_per_value_formatting():
+    # Both blocks on one mesh object (x text from the cache), then each on
+    # its own (one %-format per block).
+    mesh = Mesh(EDGE_NODES)
+    for second_mesh in (mesh, Mesh(EDGE_NODES.copy())):
+        snapshots = [
+            (0, 0.0, GridSolution(mesh, EDGE_VALUES)),
+            (1, 0.1, GridSolution(second_mesh, EDGE_VALUES[::-1].copy())),
+        ]
+        assert snapshot_csv_lines(snapshots) == per_value_lines(snapshots)
+
+
+@pytest.mark.parametrize("shared_mesh", [True, False], ids=["one_mesh", "mesh_per_block"])
+def test_snapshot_lines_keep_signed_zeros_and_subnormals_apart(shared_mesh):
+    mesh = Mesh(np.linspace(0.0, 1.0, SIGNED_ZEROS.size))
+    other = mesh if shared_mesh else Mesh(mesh.nodes.copy())
+    snapshots = [
+        (0, 0.0, GridSolution(mesh, SIGNED_ZEROS)),
+        (1, 5e-324, GridSolution(other, -SIGNED_ZEROS)),
+    ]
+    lines = snapshot_csv_lines(snapshots)
+    assert lines == per_value_lines(snapshots)
+    assert [line.rsplit(",", 1)[1] for line in lines[1:3]] == ["0", "-0"]
+
+
+def test_snapshot_lines_follow_mesh_changes():
+    # Two blocks on one mesh (the second reads its x text from the cache),
+    # a mesh of one block, then another shared mesh whose nodes equal the
+    # first one's but whose x text is formatted again.
+    rng = np.random.default_rng(3)
+
+    def mesh():
+        return Mesh(np.sort(rng.uniform(0.0, 1.0, 6)))
+
+    a, b, c = mesh(), mesh(), mesh()
+    again = Mesh(a.nodes.copy())
+    meshes = [a, a, b, c, c, again, again]
+    snapshots = [
+        (step, step / 7.0, GridSolution(m, rng.choice(SIGNED_ZEROS, 6)))
+        for step, m in enumerate(meshes)
+    ]
+    index = []
+    hook = spill_hook(io.BytesIO(), index)
+    for snapshot in snapshots:
+        hook(*snapshot)
+    # The nodes are written once per mesh object, not once per step.
+    blocks = [0, 0, 3, 5, 5, 8, 8]  # in arrays of 6 float64 values
+    assert [entry[2] for entry in index] == [48 * block for block in blocks]
+    assert snapshot_csv_lines(snapshots) == per_value_lines(snapshots)
+
+
+def test_snapshot_lines_keep_the_cadence_and_the_last_step():
+    # 53 steps: a cadence of 2, so the last step falls off the cadence.
+    mesh = Mesh(EDGE_NODES)
+    moved = Mesh(EDGE_NODES[::-1] * -1.0)
+    snapshots = [
+        (step, step / 53.0, GridSolution(mesh if step < 40 else moved, EDGE_VALUES * step))
+        for step in range(54)
+    ]
+    kept = [s for s in snapshots if s[0] % 2 == 0 or s[0] == 53]
+    lines = snapshot_csv_lines(snapshots)
+    assert lines == per_value_lines(kept)
+    assert sorted({int(line.split(",")[0]) for line in lines[1:]})[-2:] == [52, 53]
 
 
 def test_tv_series_lines_match_per_value_formatting():
