@@ -5,9 +5,11 @@ old interval flanked by a strict interior extreme gets a proximity score.
 Scores of 1 or more mean the node sits close enough to the extreme that the
 next evolution step could re-amplify the oscillation, so such nodes are
 nudged toward the non-extreme end of their interval until every score drops
-below 1. The corrected mesh then receives the old solution by linear
-interpolation, which clips new values near extremes and cannot increase
-total variation.
+below 1. Where those walks would collapse two nodes onto one point, the
+proposal is instead mapped monotonically onto the compliant slivers next to
+each run of extremes. The corrected mesh then receives the old solution by
+linear interpolation, which clips new values near extremes and cannot
+increase total variation.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ __all__ = [
     "extreme_clipping_residuals",
     "remesh_step",
 ]
+
+
+# The compliant fraction of each guarded territory's end intervals that the
+# collapse map sends nodes into: every mapped score is at most this.
+_MAP_MARGIN = 0.5
 
 
 class RemeshError(RuntimeError):
@@ -98,12 +105,30 @@ def _report(scores: np.ndarray, rounds: int, corrections: int) -> ExtremeGuardRe
     return ExtremeGuardReport(max_score, mean_score, rounds, corrections)
 
 
-def _extreme_mask(old: GridSolution) -> np.ndarray:
-    """Boolean mask of the strict interior extremes of the old solution."""
-    extreme = np.zeros(old.values.size, dtype=bool)
+def _territories(old: GridSolution, nodes: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The old extremes in runs, with the proposed nodes next to each run.
+
+    One entry (first, last, start, stop) per maximal run of consecutive
+    strict interior extremes x_first..x_last of the old solution, in
+    increasing order. The run's territory [x_{first-1}, x_{last+1}) is the
+    union of the old intervals with an extreme of the run at one end, and
+    ``nodes[start:stop]`` are the proposed interior nodes inside it.
+    """
+    runs = []
     for i, _kind in detect_extremes(old.values):
-        extreme[i] = True
-    return extreme
+        if runs and runs[-1][1] == i - 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    x_old = old.mesh.nodes
+    edges = []
+    for first, last in runs:
+        edges += (first - 1, last + 1)
+    bounds = nodes.searchsorted(x_old[edges]).tolist()
+    territories = []
+    for (first, last), start, stop in zip(runs, bounds[::2], bounds[1::2]):
+        territories.append((first, last, max(start, 1), stop))
+    return territories
 
 
 def _scan_guarded(
@@ -154,119 +179,182 @@ def enforce_extreme_guard(
 ) -> tuple[Mesh, ExtremeGuardReport]:
     """Nudge proposed nodes away from old extremes until all scores < 1.
 
-    One vectorised scan on entry finds the offending nodes. Each then walks
-    alone, one move at a time, until it scores below 1 or has made
-    ``max_rounds`` moves. A move takes the node away from the extreme it
-    scored against. In an interval with one extreme end, the step is
-    ``nudge_factor`` times the node's current distance from that extreme,
-    so distances grow geometrically; the distance is floored at half the
-    interval width, because equidistribution parks nodes arbitrarily close
-    to the extreme and an unfloored multiplicative step can then need far
-    more moves than any practical cap (the floor is inactive for nodes
-    beyond the midpoint, where the plain geometric growth takes over). An
-    interval flanked by extremes on both ends admits no safe interior
-    position once 1 + 3 * growth_constant reaches 2, and the geometric
-    step merely shuttles nodes around the midpoint there, so such nodes
-    instead hop past the far end into the neighbouring interval (entry
-    depth a ``nudge_factor``-scale fraction of that interval), from where
-    the geometric rule can proceed.
+    Only nodes next to an old extreme can score. Each maximal run of
+    consecutive old extremes x_first..x_last owns the territory
+    [x_{first-1}, x_{last+1}), the old intervals with an extreme end, and
+    one ``searchsorted`` finds the proposed interior nodes inside it. Each
+    such node gets its interval by bisection on the run's few knots and is
+    scored; one that scores 1 or more then walks alone, one move at a
+    time, until it scores below 1 or has made ``max_rounds`` moves. A move
+    takes the node away from the extreme it scored against. In an interval
+    with one extreme end, the step is ``nudge_factor`` times the node's
+    current distance from that extreme, so distances grow geometrically;
+    the distance is floored at half the interval width, because
+    equidistribution parks nodes arbitrarily close to the extreme and an
+    unfloored multiplicative step can then need far more moves than any
+    practical cap (the floor is inactive for nodes beyond the midpoint,
+    where the plain geometric growth takes over). An interval flanked by
+    extremes on both ends admits no safe interior position once
+    1 + 3 * growth_constant reaches 2, and the geometric step merely
+    shuttles nodes around the midpoint there, so such nodes instead hop
+    past the far end into the neighbouring interval (entry depth a
+    ``nudge_factor``-scale fraction of that interval), from where the
+    geometric rule can proceed.
 
     A geometric move that would reach or cross the far interval end is
     capped at the midpoint toward that end: the compliant sliver always
     lies inside the interval, and overshooting into the neighbouring old
     interval can put the node next to a different extreme and restart the
     correction march there. Moves past a domain endpoint are likewise
-    capped at the midpoint between the node and that endpoint.
+    capped at the midpoint between the node and that endpoint. So a walker
+    never leaves its territory, except onto its right end when a midpoint
+    rounds up to it; it scores 0 there, and counts only when the next old
+    node is an extreme.
 
     The walks are independent because a node's score and move depend only
     on its own position, the fixed old mesh and the old extremes (found
-    once per call). The scalar walk repeats the vectorised arithmetic
-    operation for operation, so each end point is bitwise where rounds of
-    moves with a full rescan in between would leave that node: ``rounds``
-    is the longest walk and ``corrections`` the sum of the walk lengths.
+    once per call). Each end point is bitwise where rounds of moves with a
+    full rescan in between would leave that node: ``rounds`` is the longest
+    walk and ``corrections`` the sum of the walk lengths, and the report's
+    scores are each scanned node's last score, in the order of the nodes.
     Two nodes that meet stay together from then on, and a walker that
     lands on a resting node is compliant there and stops, so the end
     points show every collapse that a check after each round would find.
     One check at the end is therefore exact: nodes out of order are
-    sorted, a walked coordinate equal to another node raises
-    ``RemeshError``, and only then does a walk that hit the cap raise
-    ``GuardConvergenceError`` with the largest score left. One vectorised
-    scan on exit gives the scores that the report summarises.
+    sorted; if a walked coordinate then equals another node, the walk has
+    collapsed two nodes, and the proposal is mapped onto the compliant
+    slivers instead (``_mapped``). Only then does a walk that hit the cap
+    raise ``GuardConvergenceError`` with the largest score left.
 
     When no node offends, the proposed nodes are the output. Either way
     the output is checked once: nodes that are not finite and strictly
-    increasing raise ``RemeshError``.
+    increasing raise ``RemeshError``. The proposal is taken to be in
+    increasing order and to span the old mesh, as equidistribution gives it.
     """
     x_old = old.mesh.nodes
-    extreme = _extreme_mask(old)
-    indices, scores = _scan_guarded(x_old, extreme, proposed.nodes, params.growth_constant)
-    walkers = indices[scores >= 1.0]
-    if not walkers.size:
-        return _checked_mesh(proposed.nodes), _report(scores, 0, 0)
-    xo = x_old.tolist()
-    ext = extreme.tolist()
-    last_cell = len(xo) - 2
+    nodes = proposed.nodes
+    territories = _territories(old, nodes)
     factor = 1.0 + 3.0 * params.growth_constant
     eps = params.nudge_factor
-    a = float(proposed.nodes[0])
-    b = float(proposed.nodes[-1])
+    a = float(nodes[0])
+    b = float(nodes[-1])
+    xs = []
+    scores = []
+    walkers = []
     ends = []
     lengths = []
     capped = []
-    for xj in proposed.nodes[walkers].tolist():
-        moves = 0
-        while True:
-            cell = min(max(bisect_right(xo, xj) - 1, 0), last_cell)
-            left_ext = ext[cell]
-            right_ext = ext[cell + 1]
-            if not (left_ext or right_ext):
-                break
-            xl = xo[cell]
-            xr = xo[cell + 1]
-            width = xr - xl
-            from_left = (xr - xj) / width * factor if left_ext else -math.inf
-            from_right = (xj - xl) / width * factor if right_ext else -math.inf
-            use_left = from_left >= from_right
-            score = from_left if use_left else from_right
-            if score < 1.0:
-                break
-            if moves == params.max_rounds:
-                capped.append(score)
-                break
-            near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
-            span = abs(xj - near)
-            moved = xj + direction * (eps * max(span, 0.5 * width))
-            if direction * (moved - far) >= 0.0:
-                moved = 0.5 * (xj + far)
-            if left_ext and right_ext:
-                # The far end of a dual interval is an extreme, hence an
-                # interior node, so the interval beyond it exists. Entry
-                # depth shrinks with the node's distance from the nearer
-                # extreme, keeping nodes that hop out of one interval distinct.
-                dest = xo[cell + 2] - xr if use_left else xl - xo[cell - 1]
-                moved = far + direction * (eps * dest * (1.0 - 0.5 * span / width))
-            if moved >= b:
-                moved = 0.5 * (xj + b)
-            if moved <= a:
-                moved = 0.5 * (xj + a)
-            xj = moved
-            moves += 1
-        ends.append(xj)
-        lengths.append(moves)
-    x_new = proposed.nodes.copy()
+    for k, (first, last, start, stop) in enumerate(territories):
+        knots = x_old[first - 1 : last + 2].tolist()
+        top = len(knots) - 2
+        # A node pushed onto the territory's right end lies in the next
+        # old interval, which is guarded only if the next run starts there.
+        leaves = k + 1 == len(territories) or territories[k + 1][0] != last + 2
+        for j, xj in enumerate(nodes[start:stop].tolist(), start):
+            cell = min(max(bisect_right(knots, xj) - 1, 0), top)
+            xl = knots[cell]
+            xr = knots[cell + 1]
+            moves = 0
+            while True:
+                left_ext = cell > 0
+                right_ext = cell < top
+                width = xr - xl
+                from_left = (xr - xj) / width * factor if left_ext else -math.inf
+                from_right = (xj - xl) / width * factor if right_ext else -math.inf
+                use_left = from_left >= from_right
+                score = from_left if use_left else from_right
+                if score < 1.0:
+                    break
+                if moves == params.max_rounds:
+                    capped.append(score)
+                    break
+                near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
+                span = abs(xj - near)
+                moved = xj + direction * (eps * max(span, 0.5 * width))
+                if direction * (moved - far) >= 0.0:
+                    moved = 0.5 * (xj + far)
+                if left_ext and right_ext:
+                    # The far end of a dual interval is an extreme, hence an
+                    # interior knot of the run, so the interval beyond it
+                    # exists. Entry depth shrinks with the node's distance
+                    # from the nearer extreme, keeping nodes that hop out of
+                    # one interval distinct.
+                    dest = knots[cell + 2] - xr if use_left else xl - knots[cell - 1]
+                    moved = far + direction * (eps * dest * (1.0 - 0.5 * span / width))
+                if moved >= b:
+                    moved = 0.5 * (xj + b)
+                if moved <= a:
+                    moved = 0.5 * (xj + a)
+                xj = moved
+                moves += 1
+                if not xl <= xj < xr:
+                    cell = min(max(bisect_right(knots, xj) - 1, 0), top)
+                    xl = knots[cell]
+                    xr = knots[cell + 1]
+            if moves:
+                walkers.append(j)
+                ends.append(xj)
+                lengths.append(moves)
+                if leaves and xj >= knots[-1]:
+                    continue
+            xs.append(xj)
+            scores.append(score)
+    if not walkers:
+        return _checked_mesh(nodes), _report(np.array(scores), 0, 0)
+    x_new = nodes.copy()
     x_new[walkers] = ends
     if not (x_new[1:] > x_new[:-1]).all():
         x_new.sort()
         # A walked coordinate found twice collapsed onto another node.
         if (x_new.searchsorted(ends, side="right") - x_new.searchsorted(ends) > 1).any():
-            raise RemeshError("corrections collapsed two nodes onto one point")
+            return _mapped(x_old, territories, nodes, params.growth_constant)
+        scores = [score for _x, score in sorted(zip(xs, scores))]
     if capped:
         raise GuardConvergenceError(
             f"proximity scores still reach {max(capped):.6g} "
             f"after {params.max_rounds} correction rounds"
         )
-    _indices, scores = _scan_guarded(x_old, extreme, x_new, params.growth_constant)
-    return _checked_mesh(x_new), _report(scores, max(lengths), sum(lengths))
+    return _checked_mesh(x_new), _report(np.array(scores), max(lengths), sum(lengths))
+
+
+def _mapped(
+    x_old: np.ndarray,
+    territories: list[tuple[int, int, int, int]],
+    nodes: np.ndarray,
+    growth_constant: float,
+) -> tuple[Mesh, ExtremeGuardReport]:
+    """The proposal mapped monotonically onto the compliant slivers.
+
+    Each territory [L, R] = [x_{first-1}, x_{last+1}] keeps its compliant
+    part at the two ends: [L, L + f * (x_first - L)] and
+    [R - f * (R - x_last), R], with f = ``_MAP_MARGIN`` / (1 + 3C). The
+    proposed nodes ``nodes[start:stop]`` inside it are mapped affinely,
+    [L, s] onto the left sliver and [s, R] onto the right one, where s
+    splits [L, R] in the ratio of the two slivers. Both pieces have the
+    slope (sum of the slivers) / (R - L), so nothing is divided by a sliver:
+    when both round to zero width, the slope is 0 and the territory's nodes
+    all go to L. Every score is then at most ``_MAP_MARGIN`` up to rounding,
+    and nodes outside every territory do not move. Nodes a few ulps apart
+    can still round together, which the output check raises as
+    ``RemeshError``.
+    """
+    fraction = _MAP_MARGIN / (1.0 + 3.0 * growth_constant)
+    mapped = nodes.copy()
+    extreme = np.zeros(x_old.size, dtype=bool)
+    for first, last, start, stop in territories:
+        extreme[first : last + 1] = True
+        left = x_old[first - 1]
+        right = x_old[last + 1]
+        left_sliver = fraction * (x_old[first] - left)
+        slope = (left_sliver + fraction * (right - x_old[last])) / (right - left)
+        inside = nodes[start:stop]
+        offset = (inside - left) * slope
+        mapped[start:stop] = np.where(
+            offset <= left_sliver, left + offset, right - (right - inside) * slope
+        )
+    mesh = _checked_mesh(mapped)
+    _indices, scores = _scan_guarded(x_old, extreme, mapped, growth_constant)
+    return mesh, _report(scores, 1, int((mapped != nodes).sum()))
 
 
 def _checked_mesh(nodes: np.ndarray) -> Mesh:

@@ -4,7 +4,8 @@ The textbook uniform-grid stencils are written independently of the
 package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
 fixed). The scan references are plain loops that the package's vectorised
-front window and extreme guard must match. The two front diagnostics, one
+front window and extreme guard (its walk, and the map it falls back on when
+the walk collapses two nodes) must match. The two front diagnostics, one
 pass each over the front window, are what the package's one-pass front
 measurement must match bitwise. The bound references are the step
 recurrence, binomial closed form and contribution sum as written on numpy
@@ -188,6 +189,55 @@ def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None
             if np.any(np.diff(nodes) == 0.0):
                 raise RemeshError("corrections collapsed two nodes onto one point")
     raise AssertionError("unreachable")
+
+
+def extreme_guard_map_reference(x_old, extreme, proposed_nodes, params, theta):
+    """The extreme guard's collapse map, one proposed node at a time.
+
+    Each maximal run of consecutive old extremes x_first..x_last owns the
+    territory [L, R) = [x_{first-1}, x_{last+1}). An interior proposed node
+    inside it moves to L + d when its scaled offset d = (x - L) * slope is at
+    most the left sliver f * (x_first - L), and otherwise to
+    R - (R - x) * slope, where f = theta / (1 + 3C) and slope is the sum of
+    the two slivers over R - L. Returns what ``extreme_guard_full_rescan``
+    returns, with rounds 1 and the number of moved nodes as corrections.
+    Raises the package's ``RemeshError`` when the mapped nodes are not
+    strictly increasing.
+    """
+    from shockmesh.remesh import RemeshError
+
+    runs = []
+    for i in range(1, len(x_old) - 1):
+        if extreme[i]:
+            if runs and runs[-1][1] == i - 1:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+    fraction = theta / (1.0 + 3.0 * params.growth_constant)
+    nodes = np.array(proposed_nodes, dtype=np.float64)
+    moved = 0
+    for j in range(1, nodes.size - 1):
+        x = float(nodes[j])
+        for first, last in runs:
+            left = float(x_old[first - 1])
+            right = float(x_old[last + 1])
+            if left <= x < right:
+                left_sliver = fraction * (float(x_old[first]) - left)
+                right_sliver = fraction * (right - float(x_old[last]))
+                slope = (left_sliver + right_sliver) / (right - left)
+                offset = (x - left) * slope
+                if offset <= left_sliver:
+                    nodes[j] = left + offset
+                else:
+                    nodes[j] = right - (right - x) * slope
+                moved += int(nodes[j] != x)
+                break
+    if not np.all(np.diff(nodes) > 0.0):
+        raise RemeshError("reconstructed mesh is not finite and strictly increasing")
+    nodes, scores, _rounds, _corrections = extreme_guard_full_rescan(
+        x_old, extreme, nodes, params
+    )
+    return nodes, scores, 1, moved
 
 
 def extreme_bound_table_reference(params, last_step):

@@ -256,31 +256,78 @@ def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monk
     assert manifest["config"]["problem"] == "transport"
 
 
+COLLAPSE = "corrections collapsed two nodes onto one point"
+
+
 @pytest.mark.parametrize("prefilled", [False, True])
-def test_simulate_guard_collapse_exits_four_with_manifest(tmp_path, capsys, prefilled):
-    # A real collapse of the extreme guard near the default jump. ROADMAP
-    # item 1 (a one-pass guard projection) should turn this into a completed
-    # run; the change that does so updates this test.
-    text = BASE_CONFIG.replace("problem = transport", "problem = burgers")
-    text = text.replace("n = 40", "n = 100")
-    text = text.replace("cfl = 0.5", "cfl = 0.3")
+def test_simulate_guard_collapse_exits_four_with_manifest(
+    tmp_path, capsys, monkeypatch, prefilled
+):
     out = tmp_path / "out"
+    cfg = write_config(tmp_path)
     if prefilled:
         # A completed run's CSVs in the directory must not outlive the
         # failed run that follows.
-        short = write_config(tmp_path, text.replace("t_final = 0.02", "t_final = 0.01"))
-        assert main(["simulate", str(short), str(out)]) == 0
+        assert main(["simulate", str(cfg), str(out)]) == 0
         assert (out / "snapshots.csv").exists() and (out / "tv_series.csv").exists()
-    text = text.replace("t_final = 0.02", "t_final = 0.3")
-    text += "x0 = 0.493453680228697\n"
-    assert main(["simulate", str(write_config(tmp_path, text)), str(out)]) == 4
-    assert "mesh reconstruction failed after step 49" in capsys.readouterr().err
+    fail_after_step_3(monkeypatch, RemeshError(COLLAPSE))
+    assert main(["simulate", str(cfg), str(out)]) == 4
+    assert "mesh reconstruction failed after step 3" in capsys.readouterr().err
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "remesh_error"
-    assert manifest["steps"] == 49
-    assert manifest["error"] == "corrections collapsed two nodes onto one point"
+    assert manifest["steps"] == 3
+    assert manifest["error"] == COLLAPSE
     assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
+def collapse_config(scheme, problem, n, cfl, t_final, x0):
+    """The config text of one adaptive run."""
+    return (
+        f"problem = {problem}\nscheme = {scheme}\nn = {n}\ncfl = {cfl}\n"
+        f"t_final = {t_final}\nx0 = {x0!r}\n"
+    )
+
+
+def test_simulate_completes_where_the_guard_walk_collapses(tmp_path):
+    # The walk collapses two nodes after step 49 of this run, near the
+    # default jump; the guard maps the proposal onto the compliant slivers
+    # instead, and the run completes with its TV and scores in bounds.
+    out = tmp_path / "out"
+    text = collapse_config("richtmyer", "burgers", 100, 0.3, 0.3, 0.493453680228697)
+    assert main(["simulate", str(write_config(tmp_path, text)), str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+    _, rows = read_rows(out / "tv_series.csv")
+    assert float(rows[-1][2]) <= 1.0 + 0.05  # the initial jump's TV is 1
+    assert max(float(row[5]) for row in rows) < 1.0  # max_A
+
+
+# Benchmark operations whose walk collapsed two nodes (exit 4): the acceptance
+# grid's configs at T = 0.02 with the jump drawn by the grid workload's seeds
+# 22, 61, 66, 23, 32, 33, 39, 45, 52 and 69, and one N = 1600 run drawn by
+# seed 1 of the adaptive_fine workload.
+COLLAPSING_RUNS = [
+    ("richtmyer", "burgers", 100, 0.3, 0.02, x0)
+    for x0 in (0.49186740894878933, 0.486750558632119, 0.4945038193755046)
+] + [("ftcs", "burgers", 200, 0.5, 0.02, 0.5702682026172377)] + [
+    ("richtmyer", "transport", 100, 0.5, 0.02, x0)
+    for x0 in (
+        0.5144458990944167,
+        0.5136982383849112,
+        0.5078670812412978,
+        0.5056982290340406,
+        0.5148452591270584,
+        0.5053704071638891,
+    )
+] + [("richtmyer", "burgers", 1600, 0.5, 0.006, 0.42883192254392677)]
+
+
+@pytest.mark.parametrize(
+    "run", COLLAPSING_RUNS, ids=lambda run: f"{run[0]}-{run[1]}-n{run[2]}-x0={run[5]}"
+)
+def test_simulate_completes_the_benchmark_runs_where_the_walk_collapses(tmp_path, run):
+    cfg = write_config(tmp_path, collapse_config(*run))
+    assert main(["simulate", str(cfg), str(tmp_path / "out")]) == 0
 
 
 def test_simulate_bad_reconstructed_mesh_exits_four_with_manifest(

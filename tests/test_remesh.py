@@ -62,10 +62,17 @@ def test_sample_stays_in_segment_range(ys, queries):
     assert np.all(out <= ys.max() + 1e-15)
 
 
+def extreme_mask(old):
+    """Boolean mask of the old solution's strict interior extremes."""
+    extreme = np.zeros(len(old), dtype=bool)
+    extreme[[i for i, _kind in detect_extremes(old.values)]] = True
+    return extreme
+
+
 def proximity_scores(old, proposed, growth_constant):
     """Indices and scores of the guarded proposed nodes."""
     return remesh._scan_guarded(
-        old.mesh.nodes, remesh._extreme_mask(old), proposed.nodes, growth_constant
+        old.mesh.nodes, extreme_mask(old), proposed.nodes, growth_constant
     )
 
 
@@ -120,6 +127,34 @@ def test_enforcement_detects_old_extremes_once_per_call(monkeypatch):
     _, report = enforce_extreme_guard(old, proposed, ExtremeGuardParams(growth_constant=1.0))
     assert report.rounds == 3
     assert len(calls) == 1
+
+
+def test_enforcement_scores_only_the_nodes_next_to_an_extreme(monkeypatch):
+    # One strict maximum on an N = 1600 mesh, and a proposal whose node just
+    # right of it must walk: the guard scores and walks that territory's few
+    # nodes without a vectorised scan or interval lookup over the mesh.
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(remesh, "_scan_guarded", counted(remesh._scan_guarded))
+    monkeypatch.setattr(remesh, "_interval_index", counted(remesh._interval_index))
+    mesh = Mesh.uniform(1600)
+    values = np.where(mesh.nodes < 0.5, 1.0, 0.0)
+    values[799] = 1.5
+    proposed = mesh.nodes.copy()
+    proposed[799] += 0.1 * (proposed[800] - proposed[799])
+    fixed, report = enforce_extreme_guard(
+        GridSolution(mesh, values), Mesh(proposed), ExtremeGuardParams(growth_constant=1.0)
+    )
+    assert report.corrections >= 1 and report.max_score < 1.0
+    assert fixed.nodes[799] > proposed[799]
+    assert calls == []
 
 
 def test_enforcement_no_op_when_already_safe():
@@ -197,14 +232,24 @@ def guard_outcome(guard, *args):
         return exc
 
 
+COLLAPSE = "corrections collapsed two nodes onto one point"
+
+
 def assert_guard_matches_full_rescan(old, proposed, params, paths=None):
-    """Run the guard and the full-rescan reference; demand bitwise agreement."""
-    extreme = np.zeros(len(old), dtype=bool)
-    extreme[[i for i, _kind in detect_extremes(old.values)]] = True
-    expected = guard_outcome(
-        classical.extreme_guard_full_rescan,
-        old.mesh.nodes, extreme, proposed.nodes, params, paths,
-    )
+    """Run the guard and the full-rescan reference; demand bitwise agreement.
+
+    Where the reference's walk collapses two nodes, the guard must give what
+    the plain-loop map reference gives for the same proposal ("map" is then
+    added to ``paths``).
+    """
+    args = (old.mesh.nodes, extreme_mask(old), proposed.nodes, params)
+    expected = guard_outcome(classical.extreme_guard_full_rescan, *args, paths)
+    if isinstance(expected, RemeshError) and str(expected) == COLLAPSE:
+        if paths is not None:
+            paths.add("map")
+        expected = guard_outcome(
+            classical.extreme_guard_map_reference, *args, remesh._MAP_MARGIN
+        )
     got = guard_outcome(enforce_extreme_guard, old, proposed, params)
     if isinstance(expected, RemeshError):
         assert type(got) is type(expected)
@@ -269,13 +314,17 @@ def test_guard_matches_full_rescan_reference():
             seen.add(type(outcome).__name__)
 
     check()
-    assert {"sort", "dual", "RemeshError", "GuardConvergenceError"} <= seen
+    assert {"sort", "dual", "map", "RemeshError", "GuardConvergenceError"} <= seen
+
+
+ULP = math.ulp(1.0)
 
 
 def rare_guard_cases():
     zigzag = GridSolution(Mesh(np.arange(5.0)), np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
     spike = GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 0.0, 1.0, 0.0]))
     peak = GridSolution(Mesh(np.array([0.0, 1.9, 2.9])), np.array([0.0, 1.0, 0.0]))
+    edge = Mesh(np.array([0.0, 1.0, 1.0 + 2.0 * ULP, 3.0, 4.0]))
     return {
         # midpoint of an interval between two extremes: equal scores, the
         # left end governs
@@ -286,7 +335,8 @@ def rare_guard_cases():
             Mesh(np.array([0.0, 1.47, 1.9, 3.0])),
             ExtremeGuardParams(1.0 / 3.0, nudge_factor=0.9),
         ),
-        # two nodes one ulp apart that round onto one point
+        # two nodes one ulp apart that the walk rounds onto one point, and
+        # so does the map
         "collapse": (
             peak,
             Mesh(np.array([0.0, 1.900000001, 1.9000000010000002, 2.9])),
@@ -298,7 +348,7 @@ def rare_guard_cases():
             ExtremeGuardParams(1.0, max_rounds=1),
         ),
         # the 0.5 walk (0.5 -> 0.6 -> 0.72 -> 0.864) lands on its compliant
-        # successor on its third move
+        # successor on its third move; the map keeps the two apart
         "landing": (
             peaked_solution(),
             Mesh(np.array([-1.0, 0.5, 0.864, 2.0])),
@@ -311,6 +361,21 @@ def rare_guard_cases():
             Mesh(np.array([0.0, 1.0, 1.900000001, 1.9000000010000002, 2.9])),
             ExtremeGuardParams(1.0, max_rounds=1),
         ),
+        # the node between 1 and the float two ulps above it walks onto that
+        # end of its run's territory, in the next interval, where it has no
+        # score; 0.1 keeps its 0.4
+        "exit": (
+            GridSolution(edge, np.array([0.0, 1.0, 0.5, 0.25, 0.0])),
+            Mesh(np.array([0.0, 0.1, 1.0 + ULP, 4.0])),
+            ExtremeGuardParams(1.0, nudge_factor=0.9),
+        ),
+        # the same walk, but that next interval ends at an extreme, so the
+        # node keeps its score 0 there
+        "exit_next_run": (
+            GridSolution(edge, np.array([0.0, 1.0, 0.5, 0.2, 0.3])),
+            Mesh(np.array([0.0, 0.1, 1.0 + ULP, 4.0])),
+            ExtremeGuardParams(1.0, nudge_factor=0.9),
+        ),
     }
 
 
@@ -321,33 +386,71 @@ def test_guard_matches_full_rescan_on_rare_geometries(name):
     expected = {
         "tie": {"dual"},
         "crossing": {"sort"},
-        "collapse": {"sort", RemeshError},
+        "collapse": {"sort", "map", RemeshError},
         "round_cap": {GuardConvergenceError},
-        "landing": {"sort", RemeshError},
-        "collapse_before_cap": {"sort", RemeshError},
+        "landing": {"sort", "map", tuple},
+        "collapse_before_cap": {"sort", "map", RemeshError},
+        "exit": {tuple},
+        "exit_next_run": {tuple},
     }[name]
     assert paths | {type(outcome)} >= expected
+    if name.startswith("exit"):
+        _nodes, scores, rounds, _corrections = outcome
+        assert rounds == 1 and scores.size == (1 if name == "exit" else 2)
 
 
 def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
-    # Richtmyer on Burgers at N = 1600 with the jump at this x0 collapses
-    # two nodes after step 176; every guard call up to and including the
-    # failing one must agree with the full-rescan reference.
+    # Richtmyer on Burgers at N = 1600 with the jump at this x0: the walk
+    # collapses two nodes in the guard call after step 176, where the map
+    # takes over and the run completes. Every guard call must agree with the
+    # full-rescan reference, or with the map reference where that collapses.
     run_settings = parse_config(
         "problem = burgers\nscheme = richtmyer\nn = 1600\ncfl = 0.5\n"
         "t_final = 0.006\nx0 = 0.42883192254392677\n"
     )
-    calls = []
+    mapped = []
 
     def checked(old, proposed, params):
-        calls.append(assert_guard_matches_full_rescan(old, proposed, params))
+        paths = set()
+        assert_guard_matches_full_rescan(old, proposed, params, paths)
+        mapped.append("map" in paths)
         return enforce_extreme_guard(old, proposed, params)
 
     monkeypatch.setattr(remesh, "enforce_extreme_guard", checked)
-    with pytest.raises(RemeshError, match="collapsed two nodes"):
-        run_simulation(build_run_config(run_settings))
-    assert len(calls) == 177
-    assert isinstance(calls[-1], RemeshError)
+    result = run_simulation(build_run_config(run_settings))
+    assert len(mapped) == len(result.records) > 177
+    assert mapped.index(True) == 176
+
+
+@st.composite
+def map_cases(draw):
+    """Old meshes with stepped data and proposals that may repeat old nodes."""
+    old, proposed, params = draw(guard_cases())
+    if draw(st.booleans()):
+        proposed = old.mesh
+    return old, proposed, params.growth_constant
+
+
+@given(map_cases())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_collapse_map_keeps_order_and_the_margin(case):
+    old, proposed, growth_constant = case
+    x_old = old.mesh.nodes
+    territories = remesh._territories(old, proposed.nodes)
+    try:
+        mesh, report = remesh._mapped(x_old, territories, proposed.nodes, growth_constant)
+    except RemeshError as exc:
+        assert str(exc) == "reconstructed mesh is not finite and strictly increasing"
+        return
+    nodes = mesh.nodes
+    assert (np.diff(nodes) > 0.0).all()
+    assert report.rounds == 1
+    assert report.corrections == int((nodes != proposed.nodes).sum())
+    assert report.max_score <= remesh._MAP_MARGIN * (1.0 + 1e-9)
+    outside = np.ones(nodes.size, dtype=bool)
+    for _first, _last, start, stop in territories:
+        outside[start:stop] = False
+    assert nodes[outside].tobytes() == proposed.nodes[outside].tobytes()
 
 
 def test_guard_params_validation():
