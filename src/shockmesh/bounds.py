@@ -156,10 +156,12 @@ def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
     Sums, over the age j of each contribution, the increase injected
     k - m + 1 - j steps after the extreme appeared, weighted by a binomial
     count of clip/grow paths. The count binom(m - 1 + j, j) comes from the
-    multiplicative recurrence, whose intermediates are integers far below
-    2**53 for the supported k up to 60; larger k raises. The power
-    ``c ** (m - 1)`` is a Python float power, so a growth constant large
-    enough to take it past float64 raises ``OverflowError``.
+    float recurrence count * (m + j) / (j + 1). It equals ``math.comb`` for
+    every k up to 55. From k = 56 on, its intermediates count * (m + j)
+    pass 2**53 (up to about 3.6e18 at k = 60), and 42 of the 1,830 counts
+    at k <= 60 are off by at most 2**-51 relative. Larger k raises. The
+    power ``c ** (m - 1)`` is a Python float power, so a growth constant
+    large enough to take it past float64 raises ``OverflowError``.
     """
     if m < 1 or k < 1:
         raise ValueError("need m >= 1 and k >= 1")
@@ -181,6 +183,49 @@ def extreme_bound_closed_form(params: BoundParams, m: int, k: int) -> float:
         power *= ratio
         count = count * (m + j) / (j + 1)
     return lam**m * c ** (m - 1) * total
+
+
+def _closed_form_table(params: BoundParams, last_step: int) -> np.ndarray:
+    """``extreme_bound_closed_form`` on the whole triangle, bitwise.
+
+    Entry [m, k] of the (last_step + 1)-square result is the closed form
+    for 1 <= m <= k <= last_step, and 0.0 elsewhere. One pass over the age
+    j handles every m at once with the scalar's float operations in the
+    scalar's order: the running total of (m, k), kept at ``totals[m - 1,
+    k - m]``, gains the age-j term whenever k - m >= j. A row whose scale
+    ``lam**m * c**(m - 1)`` leaves float64 is inf instead of raising.
+    """
+    if last_step < 1:
+        raise ValueError("last_step must be at least 1")
+    if last_step > _MAX_BINOMIAL_STEP:
+        raise ValueError(
+            f"closed form supported only up to step {_MAX_BINOMIAL_STEP}"
+        )
+    n = last_step
+    lam = params.clip_factor
+    c = params.growth_constant
+    inc = np.zeros(n)  # zero past the end, as in the scalar
+    given = params.increases[:n]
+    inc[: given.size] = given
+    ratio = lam * (1.0 + 2.0 * c)
+    ms = np.arange(1.0, n + 1.0)
+    totals = np.zeros((n, n))
+    power = 1.0
+    count = np.ones(n)
+    out = np.zeros((n + 1, n + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            totals[:, j:] += (count * power)[:, None] * inc[: n - j]
+            power *= ratio
+            count = count * (ms + j) / (j + 1)
+        for m in range(1, n + 1):
+            try:
+                scale = lam**m * c ** (m - 1)
+            except OverflowError:
+                out[m, m:] = np.inf
+                continue
+            out[m, m:] = scale * totals[m - 1, : n + 1 - m]
+    return out
 
 
 def uniform_extreme_bound(params: BoundParams, m: int) -> float:

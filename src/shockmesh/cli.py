@@ -36,7 +36,7 @@ import numpy as np
 from .bounds import (
     _MAX_BINOMIAL_STEP,
     BoundParams,
-    extreme_bound_closed_form,
+    _closed_form_table,
     extreme_bound_table,
     total_increase_contribution,
     tv_increase_bound_from_contributions,
@@ -298,6 +298,7 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     # One %-format per row: '%.17g' % x is the text of _fmt(x).
     row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
     values = table.values.tolist()
+    closed_forms = _closed_form_table(params, last_step).tolist()
     # The contribution clip * coupling**(k - m) * a_m, as increase_contribution
     # computes it, from plain floats.
     clip = params.clip_factor
@@ -308,10 +309,9 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
         partial = 0.0
         for m in range(1, k + 1):
             rec = values[m][k]
-            try:
-                closed = extreme_bound_closed_form(params, m, k)
-            except OverflowError:
-                raise RuntimeError(f"closed form leaves float64 at m={m}, k={k}") from None
+            closed = closed_forms[m][k]
+            if not math.isfinite(closed):
+                raise RuntimeError(f"closed form leaves float64 at m={m}, k={k}")
             if abs(closed - rec) > 1e-10 * (1.0 + rec):
                 raise RuntimeError(f"closed form mismatch at m={m}, k={k}")
             if rec > previous * slack:

@@ -1,5 +1,7 @@
 """Bound-chain recursion, closed forms and envelope constants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from shockmesh import (
     tv_increase_bound_from_extremes,
     uniform_extreme_bound,
 )
+from shockmesh.bounds import _closed_form_table
 
 
 def params(lam=0.1, growth=1.0, scale=1.0, increases=(1.0, 1.0, 1.0)):
@@ -185,6 +188,72 @@ def test_uniform_bound_requires_bounded_increases():
     p = BoundParams(0.1, 1.0, 1.0, np.array([5.0]))  # a_1 > C*M
     with pytest.raises(ValueError):
         uniform_extreme_bound(p, 1)
+
+
+def test_closed_form_binomial_counts_against_math_comb():
+    # lambda = C = 1/2 makes the age ratio lambda*(1 + 2C) exactly 1 and the
+    # scale 2**-(2m - 1), and a single unit increase leaves only the age-j
+    # term at k = m + j, so each closed form is one float count, exactly
+    # scaled.
+    p = params(lam=0.5, growth=0.5, increases=(1.0,))
+    misses = []
+    for m in range(1, 61):
+        for j in range(61 - m):
+            count = extreme_bound_closed_form(p, m, m + j) * 2.0 ** (2 * m - 1)
+            exact = math.comb(m - 1 + j, j)
+            if m + j <= 55:
+                assert count == exact
+            assert abs(count - exact) <= 2.0**-51 * exact
+            if count != exact:
+                misses.append((m, j))
+    assert len(misses) == 42
+    # the first miss, at k = 56
+    assert extreme_bound_closed_form(p, 26, 56) * 2.0**51 == 3085851035479211.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    growth=st.floats(1e-3, 10.0),
+    coupling=st.floats(1e-3, 0.999),
+    scale=st.floats(1e-3, 1e3),
+    increases=st.lists(st.floats(0.0, 1e3) | st.just(0.0), max_size=70),
+    last_step=st.integers(1, 60),
+    data=st.data(),
+)
+def test_closed_form_table_is_the_scalar_bitwise(
+    growth, coupling, scale, increases, last_step, data
+):
+    # Coupled parameters; the forcing may end before, at or after the last
+    # step, hold zeros, or repeat one value.
+    if data.draw(st.booleans()):
+        increases = [increases[0] if increases else growth * scale] * data.draw(
+            st.sampled_from([last_step - 1, last_step, last_step + 9])
+        )
+    lam = coupling / (1.0 + 3.0 * growth)
+    p = params(lam=lam, growth=growth, scale=scale, increases=increases)
+    table = _closed_form_table(p, last_step)
+    assert table.shape == (last_step + 1, last_step + 1)
+    for k in range(last_step + 1):
+        for m in range(last_step + 1):
+            if 1 <= m <= k:
+                assert table[m, k] == extreme_bound_closed_form(p, m, k)
+            else:
+                assert table[m, k] == 0.0
+
+
+def test_closed_form_table_marks_a_scale_past_float64_and_rejects_deep_tables():
+    # c ** (m - 1) passes float64 from m = 60 on: that row is inf, the rows
+    # above it are the scalar's.
+    p = params(lam=1e-7, growth=2e5, increases=np.full(60, 2e5))
+    with pytest.raises(OverflowError):
+        extreme_bound_closed_form(p, 60, 60)
+    table = _closed_form_table(p, 60)
+    assert table[60, 60] == math.inf
+    assert table[59, 60] == extreme_bound_closed_form(p, 59, 60)
+    with pytest.raises(ValueError):
+        _closed_form_table(params(), 61)
+    with pytest.raises(ValueError):
+        _closed_form_table(params(), 0)
 
 
 @settings(max_examples=80, deadline=None)

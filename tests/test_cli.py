@@ -561,9 +561,9 @@ def test_theory_gates_exit_two_without_output(tmp_path, capsys, argv):
 
 
 def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, monkeypatch):
-    real_closed_form = cli.extreme_bound_closed_form
+    real_closed_forms = cli._closed_form_table
     monkeypatch.setattr(
-        cli, "extreme_bound_closed_form", lambda p, m, k: 2.0 * real_closed_form(p, m, k)
+        cli, "_closed_form_table", lambda p, n: 2.0 * real_closed_forms(p, n)
     )
     out = tmp_path / "bounds.csv"
     argv = ["theory", "--lambda", "0.1", "--c", "1.0", "--m", "1.0", "--kmax", "5"]
@@ -578,11 +578,15 @@ def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, mo
         # c ** (m - 1) in the closed form is a float power past float64
         (["--lambda", "1e-7", "--c", "2e5", "--m", "1", "--kmax", "60"],
          "closed form leaves float64 at m=60, k=60"),
+        # the closed form's running total passes float64 before its scale
+        # brings it back; the recursion's E(3, 8) is 2.50e306
+        (["--lambda", "0.24", "--c", "1", "--m", "1e307", "--kmax", "60"],
+         "closed form leaves float64 at m=3, k=8"),
         # the recursion's entries grow past float64 on the first row
         (["--lambda", "0.24", "--c", "1", "--m", "1e308", "--kmax", "60"],
          "recursion leaves float64"),
     ],
-    ids=["closed_form", "recursion"],
+    ids=["closed_form", "closed_form_total", "recursion"],
 )
 def test_theory_table_leaving_float64_exits_four_without_output(
     tmp_path, capsys, argv, message
@@ -611,7 +615,7 @@ def _increasing_table(params, last_step):
         (
             {
                 "extreme_bound_table": _increasing_table,
-                "extreme_bound_closed_form": lambda p, m, k: 1e-3 * m,
+                "_closed_form_table": lambda p, n: _increasing_table(p, n).values,
             },
             "extreme order violated at m=2, k=2",
         ),
