@@ -46,8 +46,8 @@ from .bounds import (
 from .driver import BlowUpError, RunConfig, StepRecord, run_simulation
 from .grid import Problem, burgers_problem, transport_problem
 from .monitor import EstimatorParams
-from .remesh import ExtremeGuardParams, RemeshError
-from .schemes import SchemeKind, evolution_constant
+from .remesh import RemeshError
+from .schemes import SchemeKind
 from .snapshots import snapshot_lines, spill_hook
 
 __all__ = ["ConfigError", "parse_config", "build_run_config", "main"]
@@ -69,7 +69,6 @@ _KEYS = {
     "adaptive": (bool, RunConfig.adaptive),
     "epsilon": (float, EstimatorParams.floor),
     "pw": (float, EstimatorParams.power),
-    "eps_corr": (float, ExtremeGuardParams.nudge_factor),
     "x0": (float, RunConfig.jump_position),
 }
 
@@ -141,10 +140,6 @@ def build_run_config(settings: dict) -> RunConfig:
         estimator = EstimatorParams(
             floor=settings["epsilon"], power=settings["pw"]
         )
-        guard = ExtremeGuardParams(
-            growth_constant=evolution_constant(scheme, settings["cfl"]),
-            nudge_factor=settings["eps_corr"],
-        )
         return RunConfig(
             problem=problem,
             scheme=scheme,
@@ -153,7 +148,6 @@ def build_run_config(settings: dict) -> RunConfig:
             final_time=settings["t_final"],
             adaptive=settings["adaptive"],
             estimator=estimator,
-            guard=guard,
             jump_position=settings["x0"],
         )
     except ValueError as exc:

@@ -71,7 +71,8 @@ class BlowUpError(RuntimeError):
 class RunConfig:
     """Everything needed to reproduce one simulation on the unit interval.
 
-    An omitted ``guard`` becomes the scheme's default guard when built.
+    The extreme guard takes its growth constant from the scheme and the
+    CFL target, so it has no field of its own.
     """
 
     problem: Problem
@@ -81,7 +82,6 @@ class RunConfig:
     final_time: float
     adaptive: bool = True
     estimator: EstimatorParams = field(default_factory=EstimatorParams)
-    guard: ExtremeGuardParams | None = None
     jump_position: float = 0.5
 
     def __post_init__(self):
@@ -93,9 +93,6 @@ class RunConfig:
             raise ValueError("final_time must be non-negative and finite")
         if not (0.0 < self.jump_position < 1.0):
             raise ValueError("jump_position must lie in the open interval (0, 1)")
-        if self.guard is None:
-            guard = ExtremeGuardParams(growth_constant=self.growth_constant)
-            object.__setattr__(self, "guard", guard)
 
     @property
     def growth_constant(self) -> float:
@@ -213,6 +210,7 @@ def run_simulation(
     current = initial
     tv0 = total_variation(initial.values)
     growth = config.growth_constant
+    guard = ExtremeGuardParams(growth)
 
     records: list[StepRecord] = []
     if snapshot_hook is not None:
@@ -224,7 +222,7 @@ def run_simulation(
     while remaining > 0.0:
         step += 1
         if config.adaptive:
-            current, report = remesh_step(current, config.estimator, config.guard)
+            current, report = remesh_step(current, config.estimator, guard)
 
         overshoot, increase = measure_front(current.values, high, growth)
 

@@ -199,8 +199,8 @@ def total_variation(values: np.ndarray) -> float:
     return float(np.abs(arr[1:] - arr[:-1]).sum())
 
 
-def detect_extremes(values: np.ndarray) -> list[tuple[int, str]]:
-    """Indices of strict interior extremes, in increasing index order.
+def detect_extremes(values: np.ndarray) -> np.ndarray:
+    """Indices of strict interior extremes, in increasing order.
 
     A node is a strict maximum when its value exceeds both neighbors, a
     strict minimum when both neighbors exceed it. Plateau edges are not
@@ -208,16 +208,12 @@ def detect_extremes(values: np.ndarray) -> list[tuple[int, str]]:
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 3:
-        return []
+        return np.empty(0, dtype=np.intp)
     left = arr[:-2]
     mid = arr[1:-1]
     right = arr[2:]
-    is_max = (mid > left) & (mid > right)
-    is_min = (mid < left) & (mid < right)
-    out: list[tuple[int, str]] = []
-    for idx in (is_max | is_min).nonzero()[0].tolist():
-        out.append((idx + 1, "max" if is_max[idx] else "min"))
-    return out
+    strict = ((mid > left) & (mid > right)) | ((mid < left) & (mid < right))
+    return strict.nonzero()[0] + 1
 
 
 def piecewise_linear_sample(

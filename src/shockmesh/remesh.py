@@ -15,7 +15,6 @@ increase total variation.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -39,7 +38,6 @@ from .monitor import (
 
 __all__ = [
     "RemeshError",
-    "GuardConvergenceError",
     "ExtremeGuardParams",
     "ExtremeGuardReport",
     "enforce_extreme_guard",
@@ -53,14 +51,13 @@ __all__ = [
 # The compliant fraction of each guarded territory's end intervals that the
 # collapse map sends nodes into: every mapped score is at most this.
 _MAP_MARGIN = 0.5
+# The relative step of one walk move, and the most moves any one walker makes.
+_NUDGE = 0.2
+_MAX_MOVES = 50
 
 
 class RemeshError(RuntimeError):
     """Mesh reconstruction produced an unusable mesh."""
-
-
-class GuardConvergenceError(RemeshError):
-    """Node corrections failed to bring all proximity scores below 1."""
 
 
 @dataclass(frozen=True)
@@ -69,21 +66,15 @@ class ExtremeGuardParams:
 
     ``growth_constant`` is the per-step amplification constant of the
     evolution scheme in use; it sets how wide the guarded sliver around an
-    extreme is. ``nudge_factor`` is the relative step of a single correction
-    and ``max_rounds`` bounds the moves of any one node before giving up.
+    extreme is. The walk's step factor and move cap are the module
+    constants ``_NUDGE`` and ``_MAX_MOVES``.
     """
 
     growth_constant: float
-    nudge_factor: float = 0.2
-    max_rounds: int = 50
 
     def __post_init__(self):
         if not (np.isfinite(self.growth_constant) and self.growth_constant >= 0.0):
             raise ValueError("growth_constant must be non-negative and finite")
-        if not (np.isfinite(self.nudge_factor) and 0.0 < self.nudge_factor < 1.0):
-            raise ValueError("nudge_factor must lie in (0, 1)")
-        if not (isinstance(self.max_rounds, numbers.Integral) and self.max_rounds >= 1):
-            raise ValueError("max_rounds must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def _territories(old: GridSolution, nodes: np.ndarray) -> list[tuple[int, int, i
     ``nodes[start:stop]`` are the proposed interior nodes inside it.
     """
     runs = []
-    for i, _kind in detect_extremes(old.values):
+    for i in detect_extremes(old.values).tolist():
         if runs and runs[-1][1] == i - 1:
             runs[-1][1] = i
         else:
@@ -185,9 +176,9 @@ def enforce_extreme_guard(
     one ``searchsorted`` finds the proposed interior nodes inside it. Each
     such node gets its interval by bisection on the run's few knots and is
     scored; one that scores 1 or more then walks alone, one move at a
-    time, until it scores below 1 or has made ``max_rounds`` moves. A move
+    time, until it scores below 1 or has made ``_MAX_MOVES`` moves. A move
     takes the node away from the extreme it scored against. In an interval
-    with one extreme end, the step is ``nudge_factor`` times the node's
+    with one extreme end, the step is ``_NUDGE`` times the node's
     current distance from that extreme, so distances grow geometrically;
     the distance is floored at half the interval width, because
     equidistribution parks nodes arbitrarily close to the extreme and an
@@ -198,7 +189,7 @@ def enforce_extreme_guard(
     1 + 3 * growth_constant reaches 2, and the geometric step merely
     shuttles nodes around the midpoint there, so such nodes instead hop
     past the far end into the neighbouring interval (entry depth a
-    ``nudge_factor``-scale fraction of that interval), from where the
+    ``_NUDGE``-scale fraction of that interval), from where the
     geometric rule can proceed.
 
     A geometric move that would reach or cross the far interval end is
@@ -224,7 +215,7 @@ def enforce_extreme_guard(
     sorted; if a walked coordinate then equals another node, the walk has
     collapsed two nodes, and the proposal is mapped onto the compliant
     slivers instead (``_mapped``). Only then does a walk that hit the cap
-    raise ``GuardConvergenceError`` with the largest score left.
+    raise ``RemeshError`` with the largest score left.
 
     When no node offends, the proposed nodes are the output. Either way
     the output is checked once: nodes that are not finite and strictly
@@ -235,7 +226,6 @@ def enforce_extreme_guard(
     nodes = proposed.nodes
     territories = _territories(old, nodes)
     factor = 1.0 + 3.0 * params.growth_constant
-    eps = params.nudge_factor
     a = float(nodes[0])
     b = float(nodes[-1])
     xs = []
@@ -265,12 +255,12 @@ def enforce_extreme_guard(
                 score = from_left if use_left else from_right
                 if score < 1.0:
                     break
-                if moves == params.max_rounds:
+                if moves == _MAX_MOVES:
                     capped.append(score)
                     break
                 near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
                 span = abs(xj - near)
-                moved = xj + direction * (eps * max(span, 0.5 * width))
+                moved = xj + direction * (_NUDGE * max(span, 0.5 * width))
                 if direction * (moved - far) >= 0.0:
                     moved = 0.5 * (xj + far)
                 if left_ext and right_ext:
@@ -280,7 +270,7 @@ def enforce_extreme_guard(
                     # from the nearer extreme, keeping nodes that hop out of
                     # one interval distinct.
                     dest = knots[cell + 2] - xr if use_left else xl - knots[cell - 1]
-                    moved = far + direction * (eps * dest * (1.0 - 0.5 * span / width))
+                    moved = far + direction * (_NUDGE * dest * (1.0 - 0.5 * span / width))
                 if moved >= b:
                     moved = 0.5 * (xj + b)
                 if moved <= a:
@@ -310,9 +300,9 @@ def enforce_extreme_guard(
             return _mapped(x_old, territories, nodes, params.growth_constant)
         scores = [score for _x, score in sorted(zip(xs, scores))]
     if capped:
-        raise GuardConvergenceError(
+        raise RemeshError(
             f"proximity scores still reach {max(capped):.6g} "
-            f"after {params.max_rounds} correction rounds"
+            f"after {_MAX_MOVES} correction rounds"
         )
     return _checked_mesh(x_new), _report(np.array(scores), max(lengths), sum(lengths))
 
@@ -437,7 +427,7 @@ def extreme_clipping_residuals(
     x_new = new.mesh.nodes
     u_new = new.values
     out: list[tuple[float, float]] = []
-    for i, _kind in detect_extremes(u_old):
+    for i in detect_extremes(u_old).tolist():
         j = int(np.argmin(np.abs(x_new - x_old[i])))
         xj = x_new[j]
         if xj >= x_old[i]:

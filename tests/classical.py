@@ -116,22 +116,25 @@ def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None
     ``x_old`` are the old mesh nodes, ``extreme`` the mask of the old
     solution's strict interior extremes on them. Returns the corrected
     nodes, the final scores of the affected nodes (in node order), the
-    rounds and the corrections. Raises the package's
-    ``GuardConvergenceError`` once ``max_rounds`` rounds leave a score of 1
-    or more, and ``RemeshError`` when sorting after a round leaves two equal
-    coordinates. When ``paths`` is a set, the names of the rare branches taken
-    ("dual" for a hop out of an interval flanked by two extremes, "sort" for
-    a round that broke the ordering) are added to it.
+    rounds and the corrections. The step factor and the round cap are the
+    package's ``remesh._NUDGE`` and ``remesh._MAX_MOVES``, read at call time.
+    Raises ``RemeshError`` once that many rounds leave a score of 1 or more,
+    and when sorting after a round leaves two equal coordinates. When
+    ``paths`` is a set, the names of the rare branches taken ("dual" for a
+    hop out of an interval flanked by two extremes, "sort" for a round that
+    broke the ordering) are added to it.
     """
-    from shockmesh.remesh import GuardConvergenceError, RemeshError
+    from shockmesh import remesh
+    from shockmesh.remesh import RemeshError
 
     factor = 1.0 + 3.0 * params.growth_constant
     nodes = np.array(proposed_nodes, dtype=np.float64)
     a = nodes[0]
     b = nodes[-1]
-    eps = params.nudge_factor
+    eps = remesh._NUDGE
+    max_rounds = remesh._MAX_MOVES
     corrections = 0
-    for rounds in range(params.max_rounds + 1):
+    for rounds in range(max_rounds + 1):
         x_new = nodes[1:-1]
         cell = np.clip(np.searchsorted(x_old, x_new, side="right") - 1, 0, x_old.size - 2)
         sel = np.flatnonzero(extreme[cell] | extreme[cell + 1])
@@ -148,10 +151,10 @@ def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None
         scores = np.where(use_left, score_from_left, score_from_right)
         if scores.size == 0 or scores.max() < 1.0:
             return nodes, scores, rounds, corrections
-        if rounds == params.max_rounds:
-            raise GuardConvergenceError(
+        if rounds == max_rounds:
+            raise RemeshError(
                 f"proximity scores still reach {scores.max():.6g} "
-                f"after {params.max_rounds} correction rounds"
+                f"after {max_rounds} correction rounds"
             )
         near = np.where(use_left, xl, xr)
         far = np.where(use_left, xr, xl)

@@ -18,7 +18,6 @@ import shockmesh.remesh as remesh
 from shockmesh import (
     ExtremeBoundTable,
     GridSolution,
-    GuardConvergenceError,
     Mesh,
     RemeshError,
     SchemeKind,
@@ -74,7 +73,6 @@ def test_parse_config_defaults_and_comments():
     assert settings["adaptive"] is True
     assert settings["epsilon"] == 1e-15
     assert settings["pw"] == 0.9
-    assert settings["eps_corr"] == 0.2
     assert settings["x0"] == 0.5
 
 
@@ -84,6 +82,7 @@ def test_parse_config_defaults_and_comments():
         BASE_CONFIG + "n = 50\n",  # duplicate
         BASE_CONFIG + "mystery = 1\n",  # unknown key
         BASE_CONFIG + "remesh_reps = 2\n",  # removed key: one rebuild per step
+        BASE_CONFIG + "eps_corr = 0.2\n",  # removed key: the walk's step is fixed
         BASE_CONFIG + "just a line\n",  # not key=value
         BASE_CONFIG.replace("n = 40", "n = forty"),
         BASE_CONFIG.replace("cfl = 0.5", "cfl = fast"),
@@ -101,7 +100,7 @@ def test_parse_config_rejections(bad):
 def test_build_run_config_maps_every_knob():
     settings = parse_config(
         BASE_CONFIG
-        + "epsilon = 1e-12\npw = 0.8\neps_corr = 0.3\nx0 = 0.4\n"
+        + "epsilon = 1e-12\npw = 0.8\nx0 = 0.4\n"
         + "adaptive = false\n"
     )
     cfg = build_run_config(settings)
@@ -112,9 +111,7 @@ def test_build_run_config_maps_every_knob():
     assert cfg.adaptive is False
     assert cfg.estimator.floor == 1e-12
     assert cfg.estimator.power == 0.8
-    assert cfg.guard is not None
-    assert cfg.guard.nudge_factor == 0.3
-    assert cfg.guard.growth_constant == evolution_constant(SchemeKind.RICHTMYER, 0.5)
+    assert cfg.growth_constant == evolution_constant(SchemeKind.RICHTMYER, 0.5)
     assert cfg.jump_position == 0.4
 
 
@@ -160,12 +157,13 @@ def test_simulate_writes_outputs_and_exits_zero(tmp_path):
     assert np.array_equal(xs, np.linspace(0.0, 1.0, 40))
 
 
-def test_simulate_parse_error_exits_two_without_outputs(tmp_path, capsys):
-    cfg = write_config(tmp_path, BASE_CONFIG + "mystery = 1\n")
+@pytest.mark.parametrize("line", ["mystery = 1", "eps_corr = 0.3"], ids=["unknown", "removed"])
+def test_simulate_parse_error_exits_two_without_outputs(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
     out = tmp_path / "never"
     assert main(["simulate", str(cfg), str(out)]) == 2
     assert not out.exists()
-    assert "error" in capsys.readouterr().err
+    assert "unknown config key" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x0", ["0", "1", "-0.1", "1.5", "nan"])
@@ -244,7 +242,7 @@ def fail_after_step_3(monkeypatch, error):
 
 
 def test_simulate_remesh_failure_exits_four_with_manifest(tmp_path, capsys, monkeypatch):
-    fail_after_step_3(monkeypatch, GuardConvergenceError("scores still reach 1.5"))
+    fail_after_step_3(monkeypatch, RemeshError("scores still reach 1.5"))
     out = tmp_path / "out"
     assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 4
     assert "mesh reconstruction failed after step 3" in capsys.readouterr().err

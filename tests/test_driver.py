@@ -66,12 +66,21 @@ def test_run_config_rejects_jump_outside_the_domain(x0):
         small_config(jump_position=x0)
 
 
-def test_growth_constant_and_default_guard():
+def test_guard_takes_the_scheme_growth_constant(monkeypatch):
+    guards = []
+    real_remesh_step = driver.remesh_step
+
+    def recording(old, estimator, guard):
+        guards.append(guard)
+        return real_remesh_step(old, estimator, guard)
+
+    monkeypatch.setattr(driver, "remesh_step", recording)
     cfg = small_config(scheme=SchemeKind.MACCORMACK, cfl_target=0.4)
-    assert cfg.growth_constant == evolution_constant(SchemeKind.MACCORMACK, 0.4)
-    assert cfg.guard == ExtremeGuardParams(growth_constant=cfg.growth_constant)
-    given_guard = ExtremeGuardParams(growth_constant=0.25, nudge_factor=0.3)
-    assert small_config(guard=given_guard).guard is given_guard
+    result = run_simulation(cfg)
+    growth = evolution_constant(SchemeKind.MACCORMACK, 0.4)
+    assert cfg.growth_constant == growth
+    assert len(guards) == result.steps > 0
+    assert all(guard == ExtremeGuardParams(growth_constant=growth) for guard in guards)
 
 
 def test_front_window_brackets_a_jump():

@@ -106,13 +106,16 @@ def test_detect_extremes_interior_strict_only():
     # boundary values never count, plateaus are not strict
     vals = np.array([5.0, 1.0, 3.0, 3.0, 0.0, 2.0, -1.0])
     found = detect_extremes(vals)
-    kinds = dict(found)
-    assert 1 in kinds and kinds[1] == "min"
-    assert 4 in kinds and kinds[4] == "min"
-    assert 5 in kinds and kinds[5] == "max"
-    assert 0 not in kinds and 6 not in kinds
-    assert 2 not in kinds and 3 not in kinds
+    assert found.tolist() == [1, 4, 5]
+    kinds = ["max" if vals[i] > vals[i - 1] else "min" for i in found]
+    assert kinds == ["min", "min", "max"]
+    for i in found:
+        neighbours = vals[[i - 1, i + 1]]
+        assert (vals[i] > neighbours).all() or (vals[i] < neighbours).all()
 
 
 def test_detect_extremes_monotone_is_empty():
-    assert detect_extremes(np.array([0.0, 1.0, 2.0, 3.0])) == []
+    assert detect_extremes(np.array([0.0, 1.0, 2.0, 3.0])).size == 0
+    for short in ([], [1.0], [0.0, 1.0]):
+        found = detect_extremes(np.array(short))
+        assert found.size == 0 and found.dtype == np.intp

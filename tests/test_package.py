@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "ExtremeGuardParams",
     "ExtremeGuardReport",
     "GridSolution",
-    "GuardConvergenceError",
     "Mesh",
     "MonitorTable",
     "Problem",

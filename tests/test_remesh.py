@@ -13,7 +13,6 @@ from shockmesh import (
     EstimatorParams,
     ExtremeGuardParams,
     GridSolution,
-    GuardConvergenceError,
     Mesh,
     RemeshError,
     enforce_extreme_guard,
@@ -65,7 +64,7 @@ def test_sample_stays_in_segment_range(ys, queries):
 def extreme_mask(old):
     """Boolean mask of the old solution's strict interior extremes."""
     extreme = np.zeros(len(old), dtype=bool)
-    extreme[[i for i, _kind in detect_extremes(old.values)]] = True
+    extreme[detect_extremes(old.values)] = True
     return extreme
 
 
@@ -200,7 +199,7 @@ def test_enforcement_escapes_interval_flanked_by_two_extremes():
     fixed, report = enforce_extreme_guard(old, proposed, params)
     assert np.all(np.diff(fixed.nodes) > 0.0)
     assert report.max_score < 1.0
-    assert report.rounds <= params.max_rounds
+    assert report.rounds <= remesh._MAX_MOVES
 
 
 @pytest.mark.parametrize("tail", [[1.5, 1.5], [np.nan, 1.5]])
@@ -216,11 +215,12 @@ def test_enforcement_rejects_a_bad_output_mesh(tail, first):
         enforce_extreme_guard(old, proposed, params)
 
 
-def test_enforcement_round_cap_raises():
+def test_enforcement_round_cap_raises(monkeypatch):
+    monkeypatch.setattr(remesh, "_MAX_MOVES", 1)
     old = peaked_solution()
     proposed = Mesh(np.array([-1.0, 0.5, 2.0]))
-    params = ExtremeGuardParams(growth_constant=1.0, max_rounds=1)
-    with pytest.raises(GuardConvergenceError):
+    params = ExtremeGuardParams(growth_constant=1.0)
+    with pytest.raises(RemeshError, match="after 1 correction rounds"):
         enforce_extreme_guard(old, proposed, params)
 
 
@@ -233,24 +233,36 @@ def guard_outcome(guard, *args):
 
 
 COLLAPSE = "corrections collapsed two nodes onto one point"
+CAP = "proximity scores still reach"
 
 
-def assert_guard_matches_full_rescan(old, proposed, params, paths=None):
+def outcome_kind(outcome):
+    """The walk's move-cap raise as "cap", any other outcome as its type."""
+    if isinstance(outcome, RemeshError) and str(outcome).startswith(CAP):
+        return "cap"
+    return type(outcome)
+
+
+def assert_guard_matches_full_rescan(old, proposed, params, paths=None, walk=None):
     """Run the guard and the full-rescan reference; demand bitwise agreement.
 
-    Where the reference's walk collapses two nodes, the guard must give what
-    the plain-loop map reference gives for the same proposal ("map" is then
-    added to ``paths``).
+    ``walk`` maps the walk's module constants (``_NUDGE``, ``_MAX_MOVES``)
+    to the values both sides run with. Where the reference's walk collapses
+    two nodes, the guard must give what the plain-loop map reference gives
+    for the same proposal ("map" is then added to ``paths``).
     """
     args = (old.mesh.nodes, extreme_mask(old), proposed.nodes, params)
-    expected = guard_outcome(classical.extreme_guard_full_rescan, *args, paths)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (walk or {}).items():
+            patch.setattr(remesh, name, value)
+        expected = guard_outcome(classical.extreme_guard_full_rescan, *args, paths)
+        got = guard_outcome(enforce_extreme_guard, old, proposed, params)
     if isinstance(expected, RemeshError) and str(expected) == COLLAPSE:
         if paths is not None:
             paths.add("map")
         expected = guard_outcome(
             classical.extreme_guard_map_reference, *args, remesh._MAP_MARGIN
         )
-    got = guard_outcome(enforce_extreme_guard, old, proposed, params)
     if isinstance(expected, RemeshError):
         assert type(got) is type(expected)
         assert str(got) == str(expected)
@@ -295,12 +307,12 @@ def guard_cases(draw):
     a, b = x_old[0], x_old[-1]
     interior = np.unique([x for x in interior if a < x < b])
     proposed = Mesh(np.concatenate(([a], interior, [b])))
-    params = ExtremeGuardParams(
-        growth_constant=draw(st.floats(0.0, 3.0)),
-        nudge_factor=draw(st.floats(0.01, 0.9)),
-        max_rounds=draw(st.integers(1, 12)),
-    )
-    return old, proposed, params
+    params = ExtremeGuardParams(growth_constant=draw(st.floats(0.0, 3.0)))
+    walk = {
+        "_NUDGE": draw(st.floats(0.01, 0.9)),
+        "_MAX_MOVES": draw(st.integers(1, 12)),
+    }
+    return old, proposed, params, walk
 
 
 def test_guard_matches_full_rescan_reference():
@@ -309,12 +321,13 @@ def test_guard_matches_full_rescan_reference():
     @given(guard_cases())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def check(case):
-        outcome = assert_guard_matches_full_rescan(*case, paths=seen)
+        old, proposed, params, walk = case
+        outcome = assert_guard_matches_full_rescan(old, proposed, params, seen, walk)
         if isinstance(outcome, RemeshError):
-            seen.add(type(outcome).__name__)
+            seen.add(outcome_kind(outcome))
 
     check()
-    assert {"sort", "dual", "map", "RemeshError", "GuardConvergenceError"} <= seen
+    assert {"sort", "dual", "map", RemeshError, "cap"} <= seen
 
 
 ULP = math.ulp(1.0)
@@ -325,15 +338,19 @@ def rare_guard_cases():
     spike = GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 0.0, 1.0, 0.0]))
     peak = GridSolution(Mesh(np.array([0.0, 1.9, 2.9])), np.array([0.0, 1.0, 0.0]))
     edge = Mesh(np.array([0.0, 1.0, 1.0 + 2.0 * ULP, 3.0, 4.0]))
+    long_steps = {"_NUDGE": 0.9}
+    one_move = {"_MAX_MOVES": 1}
+    # Each case is (old, proposed, params, walk constants to patch).
     return {
         # midpoint of an interval between two extremes: equal scores, the
         # left end governs
-        "tie": (zigzag, Mesh(np.array([0.0, 1.5, 4.0])), ExtremeGuardParams(1.0)),
+        "tie": (zigzag, Mesh(np.array([0.0, 1.5, 4.0])), ExtremeGuardParams(1.0), {}),
         # a node stepping left past its compliant predecessor
         "crossing": (
             spike,
             Mesh(np.array([0.0, 1.47, 1.9, 3.0])),
-            ExtremeGuardParams(1.0 / 3.0, nudge_factor=0.9),
+            ExtremeGuardParams(1.0 / 3.0),
+            long_steps,
         ),
         # two nodes one ulp apart that the walk rounds onto one point, and
         # so does the map
@@ -341,11 +358,13 @@ def rare_guard_cases():
             peak,
             Mesh(np.array([0.0, 1.900000001, 1.9000000010000002, 2.9])),
             ExtremeGuardParams(1.0),
+            {},
         ),
         "round_cap": (
             peaked_solution(),
             Mesh(np.array([-1.0, 0.5, 2.0])),
-            ExtremeGuardParams(1.0, max_rounds=1),
+            ExtremeGuardParams(1.0),
+            one_move,
         ),
         # the 0.5 walk (0.5 -> 0.6 -> 0.72 -> 0.864) lands on its compliant
         # successor on its third move; the map keeps the two apart
@@ -353,13 +372,15 @@ def rare_guard_cases():
             peaked_solution(),
             Mesh(np.array([-1.0, 0.5, 0.864, 2.0])),
             ExtremeGuardParams(1.0),
+            {},
         ),
         # the one-ulp pair collapses on its first move, while the node at
         # 1.0 needs three moves: the collapse wins over the round cap
         "collapse_before_cap": (
             peak,
             Mesh(np.array([0.0, 1.0, 1.900000001, 1.9000000010000002, 2.9])),
-            ExtremeGuardParams(1.0, max_rounds=1),
+            ExtremeGuardParams(1.0),
+            one_move,
         ),
         # the node between 1 and the float two ulps above it walks onto that
         # end of its run's territory, in the next interval, where it has no
@@ -367,14 +388,16 @@ def rare_guard_cases():
         "exit": (
             GridSolution(edge, np.array([0.0, 1.0, 0.5, 0.25, 0.0])),
             Mesh(np.array([0.0, 0.1, 1.0 + ULP, 4.0])),
-            ExtremeGuardParams(1.0, nudge_factor=0.9),
+            ExtremeGuardParams(1.0),
+            long_steps,
         ),
         # the same walk, but that next interval ends at an extreme, so the
         # node keeps its score 0 there
         "exit_next_run": (
             GridSolution(edge, np.array([0.0, 1.0, 0.5, 0.2, 0.3])),
             Mesh(np.array([0.0, 0.1, 1.0 + ULP, 4.0])),
-            ExtremeGuardParams(1.0, nudge_factor=0.9),
+            ExtremeGuardParams(1.0),
+            long_steps,
         ),
     }
 
@@ -382,18 +405,19 @@ def rare_guard_cases():
 @pytest.mark.parametrize("name", sorted(rare_guard_cases()))
 def test_guard_matches_full_rescan_on_rare_geometries(name):
     paths = set()
-    outcome = assert_guard_matches_full_rescan(*rare_guard_cases()[name], paths=paths)
+    old, proposed, params, walk = rare_guard_cases()[name]
+    outcome = assert_guard_matches_full_rescan(old, proposed, params, paths, walk)
     expected = {
         "tie": {"dual"},
         "crossing": {"sort"},
         "collapse": {"sort", "map", RemeshError},
-        "round_cap": {GuardConvergenceError},
+        "round_cap": {"cap"},
         "landing": {"sort", "map", tuple},
         "collapse_before_cap": {"sort", "map", RemeshError},
         "exit": {tuple},
         "exit_next_run": {tuple},
     }[name]
-    assert paths | {type(outcome)} >= expected
+    assert paths | {outcome_kind(outcome)} >= expected
     if name.startswith("exit"):
         _nodes, scores, rounds, _corrections = outcome
         assert rounds == 1 and scores.size == (1 if name == "exit" else 2)
@@ -425,7 +449,7 @@ def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
 @st.composite
 def map_cases(draw):
     """Old meshes with stepped data and proposals that may repeat old nodes."""
-    old, proposed, params = draw(guard_cases())
+    old, proposed, params, _walk = draw(guard_cases())
     if draw(st.booleans()):
         proposed = old.mesh
     return old, proposed, params.growth_constant
@@ -456,16 +480,6 @@ def test_collapse_map_keeps_order_and_the_margin(case):
 def test_guard_params_validation():
     with pytest.raises(ValueError):
         ExtremeGuardParams(growth_constant=-1.0)
-    with pytest.raises(ValueError):
-        ExtremeGuardParams(growth_constant=1.0, nudge_factor=0.0)
-    with pytest.raises(ValueError):
-        ExtremeGuardParams(growth_constant=1.0, nudge_factor=1.0)
-    with pytest.raises(ValueError):
-        ExtremeGuardParams(growth_constant=1.0, max_rounds=0)
-    # A count that is not an integer would never meet the round cap.
-    for max_rounds in (1.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="max_rounds"):
-            ExtremeGuardParams(growth_constant=1.0, max_rounds=max_rounds)
 
 
 def test_interpolate_update_same_mesh_is_identity():
