@@ -26,7 +26,6 @@ __all__ = [
     "uniform_extreme_bound",
     "tv_increase_bound_from_extremes",
     "tv_increase_bound_from_contributions",
-    "increase_contribution",
     "total_increase_contribution",
 ]
 
@@ -272,24 +271,6 @@ def tv_increase_bound_from_contributions(params: BoundParams) -> float:
         * params.growth_constant
         * params.variation_scale
         / (1.0 - params.coupling_sum)
-    )
-
-
-def increase_contribution(params: BoundParams, m: int, k: int) -> float:
-    """Share of the step-m increase still alive at step k.
-
-    The increase a_m enters once and is then multiplied by the coupling
-    sum λ + 3λC each subsequent step: λ(λ+3λC)^(k-m) a_m. Zero before the
-    increase occurs (k < m).
-    """
-    if m < 1 or k < 1:
-        raise ValueError("need m >= 1 and k >= 1")
-    if k < m:
-        return 0.0
-    return (
-        params.clip_factor
-        * params.coupling_sum ** (k - m)
-        * params.increase_at(m)
     )
 
 

@@ -293,8 +293,8 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
     values = table.values.tolist()
     closed_forms = _closed_form_table(params, last_step).tolist()
-    # The contribution clip * coupling**(k - m) * a_m, as increase_contribution
-    # computes it, from plain floats.
+    # The share of the step-m increase a_m still alive at step k,
+    # clip * coupling**(k - m) * a_m, from plain floats.
     clip = params.clip_factor
     coupling = params.coupling_sum
     increases = params.increases.tolist()

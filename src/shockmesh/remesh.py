@@ -23,7 +23,6 @@ import numpy as np
 from .grid import (
     GridSolution,
     Mesh,
-    _interval_index,
     _trusted,
     detect_extremes,
     piecewise_linear_sample,
@@ -43,7 +42,6 @@ __all__ = [
     "enforce_extreme_guard",
     "interpolate_update",
     "interpolation_smoothing_residual",
-    "extreme_clipping_residuals",
     "remesh_step",
 ]
 
@@ -122,49 +120,6 @@ def _territories(old: GridSolution, nodes: np.ndarray) -> list[tuple[int, int, i
     return territories
 
 
-def _scan_guarded(
-    x_old: np.ndarray,
-    extreme: np.ndarray,
-    proposed_nodes: np.ndarray,
-    growth_constant: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score interior proposed nodes that landed next to an old extreme.
-
-    ``x_old`` are the old mesh nodes and ``extreme`` flags the old
-    solution's strict interior extremes on them. A node in an old interval
-    with a strict extreme at one end scores (1 + 3 * growth_constant) times
-    its relative distance from the non-extreme end: 1 + 3C on top of the
-    extreme, 0 at the far end. When both ends are extremes the larger score
-    wins. Returns the indices of the affected proposed nodes and their
-    scores; a score below 1 means the node is safely inside the far sliver
-    of its interval.
-    """
-    none = (np.empty(0, dtype=np.intp), np.empty(0))
-    if not extreme.any():
-        return none
-
-    x_new = proposed_nodes[1:-1]
-    cell = _interval_index(x_old, x_new)
-    left_ext = extreme[cell]
-    right_ext = extreme[cell + 1]
-    sel = (left_ext | right_ext).nonzero()[0]
-    if not sel.size:
-        return none
-
-    cell = cell[sel]
-    xj = x_new[sel]
-    xl = x_old[cell]
-    xr = x_old[cell + 1]
-    width = xr - xl
-    factor = 1.0 + 3.0 * growth_constant
-    # Score against each flanking extreme: distance to the interval end
-    # opposite that extreme, relative to the interval width. The larger
-    # score (the nearer extreme) governs.
-    score_from_left = np.where(left_ext[sel], (xr - xj) / width * factor, -np.inf)
-    score_from_right = np.where(right_ext[sel], (xj - xl) / width * factor, -np.inf)
-    return sel + 1, np.maximum(score_from_left, score_from_right)
-
-
 def enforce_extreme_guard(
     old: GridSolution, proposed: Mesh, params: ExtremeGuardParams
 ) -> tuple[Mesh, ExtremeGuardReport]:
@@ -173,24 +128,65 @@ def enforce_extreme_guard(
     Only nodes next to an old extreme can score. Each maximal run of
     consecutive old extremes x_first..x_last owns the territory
     [x_{first-1}, x_{last+1}), the old intervals with an extreme end, and
-    one ``searchsorted`` finds the proposed interior nodes inside it. Each
-    such node gets its interval by bisection on the run's few knots and is
-    scored; one that scores 1 or more then walks alone, one move at a
-    time, until it scores below 1 or has made ``_MAX_MOVES`` moves. A move
-    takes the node away from the extreme it scored against. In an interval
-    with one extreme end, the step is ``_NUDGE`` times the node's
-    current distance from that extreme, so distances grow geometrically;
-    the distance is floored at half the interval width, because
-    equidistribution parks nodes arbitrarily close to the extreme and an
-    unfloored multiplicative step can then need far more moves than any
-    practical cap (the floor is inactive for nodes beyond the midpoint,
-    where the plain geometric growth takes over). An interval flanked by
-    extremes on both ends admits no safe interior position once
-    1 + 3 * growth_constant reaches 2, and the geometric step merely
-    shuttles nodes around the midpoint there, so such nodes instead hop
-    past the far end into the neighbouring interval (entry depth a
-    ``_NUDGE``-scale fraction of that interval), from where the
-    geometric rule can proceed.
+    one ``searchsorted`` finds the proposed interior nodes inside it.
+    ``_walk`` scores each such node and walks every one that scores 1 or
+    more alone until it scores below 1; ``rounds`` is the longest walk and
+    ``corrections`` the sum of the walk lengths. Where the walks collapse
+    two nodes, the proposal is instead mapped onto the compliant slivers
+    (``_mapped``) and the mapped nodes are scored by the same territory
+    scan, in which none of them walks, since each scores at most
+    ``_MAP_MARGIN``; ``rounds`` is then 1 and ``corrections`` the number
+    of nodes the map moved. A walk that hit the move cap raises
+    ``RemeshError`` with the largest score left, but only when the walks
+    did not collapse.
+
+    The report's scores are each scanned node's last score, in the order
+    of the nodes. When no node offends, the proposed nodes are the output.
+    Either way the output is checked once: nodes that are not finite and
+    strictly increasing raise ``RemeshError``. The proposal is taken to be
+    in increasing order and to span the old mesh, as equidistribution
+    gives it.
+    """
+    x_old = old.mesh.nodes
+    nodes = proposed.nodes
+    territories = _territories(old, nodes)
+    factor = 1.0 + 3.0 * params.growth_constant
+    walked = _walk(x_old, territories, nodes, factor)
+    if walked is None:
+        mapped = _mapped(x_old, territories, nodes, factor)
+        x_new, scores, _rounds, _corrections = _walk(x_old, territories, mapped, factor)
+        walked = x_new, scores, 1, int((x_new != nodes).sum())
+    x_new, scores, rounds, corrections = walked
+    return _checked_mesh(x_new), _report(np.array(scores), rounds, corrections)
+
+
+def _walk(
+    x_old: np.ndarray,
+    territories: list[tuple[int, int, int, int]],
+    nodes: np.ndarray,
+    factor: float,
+) -> tuple[np.ndarray, list[float], int, int] | None:
+    """Score the nodes of each territory and walk each offender alone.
+
+    A node in an old interval with a strict extreme at one end scores
+    ``factor`` = 1 + 3C times its relative distance from the non-extreme
+    end: 1 + 3C on top of the extreme, 0 at the far end. When both ends are
+    extremes the larger score wins. Each node gets its interval by
+    bisection on its run's few knots; one that scores 1 or more then walks
+    alone, one move at a time, until it scores below 1 or has made
+    ``_MAX_MOVES`` moves. A move takes the node away from the extreme it
+    scored against. In an interval with one extreme end, the step is
+    ``_NUDGE`` times the node's current distance from that extreme, so
+    distances grow geometrically; the distance is floored at half the
+    interval width, because equidistribution parks nodes arbitrarily close
+    to the extreme and an unfloored multiplicative step can then need far
+    more moves than any practical cap (the floor is inactive for nodes
+    beyond the midpoint, where the plain geometric growth takes over). An
+    interval flanked by extremes on both ends admits no safe interior
+    position once 1 + 3C reaches 2, and the geometric step merely shuttles
+    nodes around the midpoint there, so such nodes instead hop past the far
+    end into the neighbouring interval (entry depth a ``_NUDGE``-scale
+    fraction of that interval), from where the geometric rule can proceed.
 
     A geometric move that would reach or cross the far interval end is
     capped at the midpoint toward that end: the compliant sliver always
@@ -199,33 +195,25 @@ def enforce_extreme_guard(
     correction march there. Moves past a domain endpoint are likewise
     capped at the midpoint between the node and that endpoint. So a walker
     never leaves its territory, except onto its right end when a midpoint
-    rounds up to it; it scores 0 there, and counts only when the next old
-    node is an extreme.
+    rounds up to it (a mapped node can round onto it too). Any node there
+    scores 0, and counts only when the next run starts at the next old
+    node.
 
     The walks are independent because a node's score and move depend only
-    on its own position, the fixed old mesh and the old extremes (found
-    once per call). Each end point is bitwise where rounds of moves with a
-    full rescan in between would leave that node: ``rounds`` is the longest
-    walk and ``corrections`` the sum of the walk lengths, and the report's
-    scores are each scanned node's last score, in the order of the nodes.
-    Two nodes that meet stay together from then on, and a walker that
-    lands on a resting node is compliant there and stops, so the end
-    points show every collapse that a check after each round would find.
-    One check at the end is therefore exact: nodes out of order are
-    sorted; if a walked coordinate then equals another node, the walk has
-    collapsed two nodes, and the proposal is mapped onto the compliant
-    slivers instead (``_mapped``). Only then does a walk that hit the cap
-    raise ``RemeshError`` with the largest score left.
+    on its own position, the fixed old mesh and the old extremes. Each end
+    point is bitwise where rounds of moves with a full rescan in between
+    would leave that node. Two nodes that meet stay together from then on,
+    and a walker that lands on a resting node is compliant there and stops,
+    so the end points show every collapse that a check after each round
+    would find. One check at the end is therefore exact: nodes out of order
+    are sorted, with their scores; if a walked coordinate then equals
+    another node, the walk has collapsed two nodes and the result is
+    ``None``. Otherwise a walk that hit the cap raises ``RemeshError``.
 
-    When no node offends, the proposed nodes are the output. Either way
-    the output is checked once: nodes that are not finite and strictly
-    increasing raise ``RemeshError``. The proposal is taken to be in
-    increasing order and to span the old mesh, as equidistribution gives it.
+    Returns the nodes after the walks, the scores in node order, the
+    longest walk and the sum of the walk lengths; ``nodes`` itself when no
+    node walks.
     """
-    x_old = old.mesh.nodes
-    nodes = proposed.nodes
-    territories = _territories(old, nodes)
-    factor = 1.0 + 3.0 * params.growth_constant
     a = float(nodes[0])
     b = float(nodes[-1])
     xs = []
@@ -237,8 +225,8 @@ def enforce_extreme_guard(
     for k, (first, last, start, stop) in enumerate(territories):
         knots = x_old[first - 1 : last + 2].tolist()
         top = len(knots) - 2
-        # A node pushed onto the territory's right end lies in the next
-        # old interval, which is guarded only if the next run starts there.
+        # A node on the territory's right end lies in the next old
+        # interval, which is guarded only if the next run starts there.
         leaves = k + 1 == len(territories) or territories[k + 1][0] != last + 2
         for j, xj in enumerate(nodes[start:stop].tolist(), start):
             cell = min(max(bisect_right(knots, xj) - 1, 0), top)
@@ -285,39 +273,39 @@ def enforce_extreme_guard(
                 walkers.append(j)
                 ends.append(xj)
                 lengths.append(moves)
-                if leaves and xj >= knots[-1]:
-                    continue
+            if leaves and xj >= knots[-1]:
+                continue
             xs.append(xj)
             scores.append(score)
     if not walkers:
-        return _checked_mesh(nodes), _report(np.array(scores), 0, 0)
+        return nodes, scores, 0, 0
     x_new = nodes.copy()
     x_new[walkers] = ends
     if not (x_new[1:] > x_new[:-1]).all():
         x_new.sort()
         # A walked coordinate found twice collapsed onto another node.
         if (x_new.searchsorted(ends, side="right") - x_new.searchsorted(ends) > 1).any():
-            return _mapped(x_old, territories, nodes, params.growth_constant)
+            return None
         scores = [score for _x, score in sorted(zip(xs, scores))]
     if capped:
         raise RemeshError(
             f"proximity scores still reach {max(capped):.6g} "
             f"after {_MAX_MOVES} correction rounds"
         )
-    return _checked_mesh(x_new), _report(np.array(scores), max(lengths), sum(lengths))
+    return x_new, scores, max(lengths), sum(lengths)
 
 
 def _mapped(
     x_old: np.ndarray,
     territories: list[tuple[int, int, int, int]],
     nodes: np.ndarray,
-    growth_constant: float,
-) -> tuple[Mesh, ExtremeGuardReport]:
+    factor: float,
+) -> np.ndarray:
     """The proposal mapped monotonically onto the compliant slivers.
 
     Each territory [L, R] = [x_{first-1}, x_{last+1}] keeps its compliant
     part at the two ends: [L, L + f * (x_first - L)] and
-    [R - f * (R - x_last), R], with f = ``_MAP_MARGIN`` / (1 + 3C). The
+    [R - f * (R - x_last), R], with f = ``_MAP_MARGIN`` / ``factor``. The
     proposed nodes ``nodes[start:stop]`` inside it are mapped affinely,
     [L, s] onto the left sliver and [s, R] onto the right one, where s
     splits [L, R] in the ratio of the two slivers. Both pieces have the
@@ -325,14 +313,12 @@ def _mapped(
     when both round to zero width, the slope is 0 and the territory's nodes
     all go to L. Every score is then at most ``_MAP_MARGIN`` up to rounding,
     and nodes outside every territory do not move. Nodes a few ulps apart
-    can still round together, which the output check raises as
+    can still round together, which the guard's output check raises as
     ``RemeshError``.
     """
-    fraction = _MAP_MARGIN / (1.0 + 3.0 * growth_constant)
+    fraction = _MAP_MARGIN / factor
     mapped = nodes.copy()
-    extreme = np.zeros(x_old.size, dtype=bool)
     for first, last, start, stop in territories:
-        extreme[first : last + 1] = True
         left = x_old[first - 1]
         right = x_old[last + 1]
         left_sliver = fraction * (x_old[first] - left)
@@ -342,9 +328,7 @@ def _mapped(
         mapped[start:stop] = np.where(
             offset <= left_sliver, left + offset, right - (right - inside) * slope
         )
-    mesh = _checked_mesh(mapped)
-    _indices, scores = _scan_guarded(x_old, extreme, mapped, growth_constant)
-    return mesh, _report(scores, 1, int((mapped != nodes).sum()))
+    return mapped
 
 
 def _checked_mesh(nodes: np.ndarray) -> Mesh:
@@ -407,43 +391,6 @@ def interpolation_smoothing_residual(
     weight = offset_left * offset_right / (offset_left + offset_right)
     closed_form = float(u[i] + weight * (slope_right - slope_left))
     return sampled, closed_form, abs(sampled - closed_form)
-
-
-def extreme_clipping_residuals(
-    old: GridSolution, new: GridSolution
-) -> list[tuple[float, float]]:
-    """Observed vs allowed oscillation size at each clipped old extreme.
-
-    For every strict interior extreme of the old solution, find the new
-    node nearest to it. If that node lies in one of the two old intervals
-    adjacent to the extreme, linear interpolation pins its value exactly:
-    the remaining departure from the far interval end's value is the
-    relative distance to that far end times the old departure. Returns
-    (observed, allowed) pairs; extremes whose nearest new node escaped both
-    adjacent intervals are skipped.
-    """
-    x_old = old.mesh.nodes
-    u_old = old.values
-    x_new = new.mesh.nodes
-    u_new = new.values
-    out: list[tuple[float, float]] = []
-    for i in detect_extremes(u_old).tolist():
-        j = int(np.argmin(np.abs(x_new - x_old[i])))
-        xj = x_new[j]
-        if xj >= x_old[i]:
-            far = i + 1
-            width = x_old[far] - x_old[i]
-            dist = xj - x_old[i]
-        else:
-            far = i - 1
-            width = x_old[i] - x_old[far]
-            dist = x_old[i] - xj
-        if dist > width:
-            continue
-        allowed = (1.0 - dist / width) * abs(u_old[i] - u_old[far])
-        observed = abs(u_new[j] - u_old[far])
-        out.append((float(observed), float(allowed)))
-    return out
 
 
 def remesh_step(

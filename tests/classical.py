@@ -3,15 +3,16 @@
 The textbook uniform-grid stencils are written independently of the
 package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
-fixed). The scan references are plain loops that the package's vectorised
-front window and extreme guard (its walk, and the map it falls back on when
-the walk collapses two nodes) must match. The two front diagnostics, one
-pass each over the front window, are what the package's one-pass front
-measurement must match bitwise. The bound references are the step
-recurrence, binomial closed form and contribution sum as written on numpy
-scalars, which the package's plain-float forms must match bitwise.
-The last two helpers measure a state's CFL number and spot-check a flux for
-convexity.
+fixed). The scan references are plain loops that the package's front
+window and extreme guard (its scores, its walk, and the map it falls back
+on when the walk collapses two nodes) must match. The two front
+diagnostics, one pass each over the front window, are what the package's
+one-pass front measurement must match bitwise. The bound references are
+the step recurrence, binomial closed form and contribution sum as written
+on numpy scalars, which the package's plain-float forms must match
+bitwise, and the share of one increase that is still alive at a later
+step. The last helpers measure how far the transfer clips each old
+extreme, a state's CFL number, and spot-check a flux for convexity.
 """
 
 import numpy as np
@@ -108,6 +109,34 @@ def measure_shock_increase(values, window, overshoot, growth_constant):
         return 0.0
     raw = max(abs(float(values[top] - values[top + 1])) - 2.0 * overshoot, 0.0)
     return growth_constant * raw
+
+
+def proximity_scores_reference(x_old, extreme, proposed_nodes, growth_constant):
+    """Indices and scores of the proposed interior nodes next to an old extreme.
+
+    One node at a time: a node in the old interval [x_i, x_{i+1}) (the last
+    interval also holds its right end) with a strict extreme at one end
+    scores (1 + 3C) times its relative distance from the other end; with
+    extremes at both ends the larger score counts.
+    """
+    factor = 1.0 + 3.0 * growth_constant
+    indices = []
+    scores = []
+    for j in range(1, len(proposed_nodes) - 1):
+        x = float(proposed_nodes[j])
+        i = int(np.searchsorted(x_old, x, side="right")) - 1
+        i = min(max(i, 0), len(x_old) - 2)
+        left = float(x_old[i])
+        right = float(x_old[i + 1])
+        candidates = []
+        if extreme[i]:
+            candidates.append((right - x) / (right - left) * factor)
+        if extreme[i + 1]:
+            candidates.append((x - left) / (right - left) * factor)
+        if candidates:
+            indices.append(j)
+            scores.append(max(candidates))
+    return np.array(indices, dtype=np.intp), np.array(scores, dtype=np.float64)
 
 
 def extreme_guard_full_rescan(x_old, extreme, proposed_nodes, params, paths=None):
@@ -286,12 +315,61 @@ def extreme_bound_closed_form_reference(params, m, k):
     return lam**m * c ** (m - 1) * total
 
 
+def increase_contribution(params, m, k):
+    """Share of the step-m increase still alive at step k.
+
+    The increase a_m enters once and is then multiplied by the coupling
+    sum λ + 3λC each subsequent step: λ(λ+3λC)^(k-m) a_m. Zero before the
+    increase occurs (k < m).
+    """
+    if k < m:
+        return 0.0
+    return params.clip_factor * params.coupling_sum ** (k - m) * params.increase_at(m)
+
+
 def total_increase_contribution_reference(params, k):
     """Sum of the per-increase contributions alive at step k, term by term."""
     total = 0.0
     for m in range(1, k + 1):
         total += params.coupling_sum ** (k - m) * params.increase_at(m)
     return params.clip_factor * total
+
+
+def extreme_clipping_residuals(old, new):
+    """Observed vs allowed oscillation size at each clipped old extreme.
+
+    For every strict interior extreme of the old solution, find the new
+    node nearest to it. If that node lies in one of the two old intervals
+    adjacent to the extreme, linear interpolation pins its value exactly:
+    the remaining departure from the far interval end's value is the
+    relative distance to that far end times the old departure. Returns
+    (observed, allowed) pairs; extremes whose nearest new node escaped both
+    adjacent intervals are skipped.
+    """
+    from shockmesh import detect_extremes
+
+    x_old = old.mesh.nodes
+    u_old = old.values
+    x_new = new.mesh.nodes
+    u_new = new.values
+    out = []
+    for i in detect_extremes(u_old).tolist():
+        j = int(np.argmin(np.abs(x_new - x_old[i])))
+        xj = x_new[j]
+        if xj >= x_old[i]:
+            far = i + 1
+            width = x_old[far] - x_old[i]
+            dist = xj - x_old[i]
+        else:
+            far = i - 1
+            width = x_old[i] - x_old[far]
+            dist = x_old[i] - xj
+        if dist > width:
+            continue
+        allowed = (1.0 - dist / width) * abs(u_old[i] - u_old[far])
+        observed = abs(u_new[j] - u_old[far])
+        out.append((float(observed), float(allowed)))
+    return out
 
 
 def cfl_number(solution, problem, dt):

@@ -12,7 +12,6 @@ from shockmesh import (
     BoundParams,
     extreme_bound_closed_form,
     extreme_bound_table,
-    increase_contribution,
     total_increase_contribution,
     tv_increase_bound_from_contributions,
     tv_increase_bound_from_extremes,
@@ -161,15 +160,15 @@ def test_envelope_ratio_identity():
 
 def test_contribution_frozen_example():
     p = params(lam=0.1, growth=1.0)
-    assert increase_contribution(p, 1, 3) == pytest.approx(0.016, rel=1e-12)
-    assert increase_contribution(p, 3, 1) == 0.0  # not yet created
-    assert increase_contribution(p, 2, 2) == pytest.approx(0.1, rel=1e-15)
+    assert classical.increase_contribution(p, 1, 3) == pytest.approx(0.016, rel=1e-12)
+    assert classical.increase_contribution(p, 3, 1) == 0.0  # not yet created
+    assert classical.increase_contribution(p, 2, 2) == pytest.approx(0.1, rel=1e-15)
 
 
 def test_total_contribution_is_sum_over_orders():
     p = params(lam=0.11, growth=0.9, increases=(0.4, 0.9, 0.2, 0.7))
     for k in range(1, 7):
-        direct = sum(increase_contribution(p, m, k) for m in range(1, k + 1))
+        direct = sum(classical.increase_contribution(p, m, k) for m in range(1, k + 1))
         assert total_increase_contribution(p, k) == pytest.approx(direct, rel=1e-14)
 
 

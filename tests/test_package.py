@@ -1,5 +1,6 @@
 """The package's public surface: one export list per layer module."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,9 +39,7 @@ PUBLIC_NAMES = [
     "evolution_ratio",
     "extreme_bound_closed_form",
     "extreme_bound_table",
-    "extreme_clipping_residuals",
     "front_window",
-    "increase_contribution",
     "interpolate_update",
     "interpolation_smoothing_residual",
     "make_jump_initial",
@@ -66,6 +65,12 @@ def test_package_exports_the_union_of_the_layer_lists():
     assert set(exported) == {name for module in layers for name in module.__all__}
     assert sum(len(module.__all__) for module in layers) == len(exported)
     assert sorted(exported) == PUBLIC_NAMES
+
+
+def test_readme_states_the_export_count():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    counts = re.findall(r"\((\d+)\s+names\)", readme.read_text(encoding="utf-8"))
+    assert counts == [str(len(shockmesh.__all__))]
 
 
 def test_every_exported_name_resolves():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classical
+import shockmesh.grid as grid
 import shockmesh.remesh as remesh
 from shockmesh import (
     EstimatorParams,
@@ -16,7 +17,6 @@ from shockmesh import (
     Mesh,
     RemeshError,
     enforce_extreme_guard,
-    extreme_clipping_residuals,
     interpolate_update,
     interpolation_smoothing_residual,
     make_jump_initial,
@@ -70,7 +70,7 @@ def extreme_mask(old):
 
 def proximity_scores(old, proposed, growth_constant):
     """Indices and scores of the guarded proposed nodes."""
-    return remesh._scan_guarded(
+    return classical.proximity_scores_reference(
         old.mesh.nodes, extreme_mask(old), proposed.nodes, growth_constant
     )
 
@@ -131,7 +131,7 @@ def test_enforcement_detects_old_extremes_once_per_call(monkeypatch):
 def test_enforcement_scores_only_the_nodes_next_to_an_extreme(monkeypatch):
     # One strict maximum on an N = 1600 mesh, and a proposal whose node just
     # right of it must walk: the guard scores and walks that territory's few
-    # nodes without a vectorised scan or interval lookup over the mesh.
+    # nodes without a vectorised interval lookup over the mesh.
     calls = []
 
     def counted(fn):
@@ -141,8 +141,7 @@ def test_enforcement_scores_only_the_nodes_next_to_an_extreme(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(remesh, "_scan_guarded", counted(remesh._scan_guarded))
-    monkeypatch.setattr(remesh, "_interval_index", counted(remesh._interval_index))
+    monkeypatch.setattr(grid, "_interval_index", counted(grid._interval_index))
     mesh = Mesh.uniform(1600)
     values = np.where(mesh.nodes < 0.5, 1.0, 0.0)
     values[799] = 1.5
@@ -338,6 +337,11 @@ def rare_guard_cases():
     spike = GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 0.0, 1.0, 0.0]))
     peak = GridSolution(Mesh(np.array([0.0, 1.9, 2.9])), np.array([0.0, 1.0, 0.0]))
     edge = Mesh(np.array([0.0, 1.0, 1.0 + 2.0 * ULP, 3.0, 4.0]))
+    # The walk from 1.5 ends on the compliant node at 1.999999740600586 when
+    # C = 1e6, so the proposal is mapped; the map sends the node one ulp
+    # below 2 onto 2, the right end of the territory [0, 2) of the extreme
+    # at 1.
+    onto_end = Mesh(np.array([0.0, 1.5, 1.999999740600586, 2.0 - ULP, 4.0]))
     long_steps = {"_NUDGE": 0.9}
     one_move = {"_MAX_MOVES": 1}
     # Each case is (old, proposed, params, walk constants to patch).
@@ -399,6 +403,22 @@ def rare_guard_cases():
             ExtremeGuardParams(1.0),
             long_steps,
         ),
+        # the mapped node on 2 lies in the old interval [2, 3), where it has
+        # no score
+        "map_end": (
+            GridSolution(Mesh(np.arange(5.0)), np.array([0.0, 1.0, 0.5, 0.25, 0.0])),
+            onto_end,
+            ExtremeGuardParams(1e6),
+            {},
+        ),
+        # the same map, but the next run of extremes starts at 3, so that
+        # interval is guarded and the node scores 0 there
+        "map_end_next_run": (
+            GridSolution(Mesh(np.arange(5.0)), np.array([0.0, 1.0, 0.5, 0.0, 1.0])),
+            onto_end,
+            ExtremeGuardParams(1e6),
+            {},
+        ),
     }
 
 
@@ -416,11 +436,16 @@ def test_guard_matches_full_rescan_on_rare_geometries(name):
         "collapse_before_cap": {"sort", "map", RemeshError},
         "exit": {tuple},
         "exit_next_run": {tuple},
+        "map_end": {"sort", "map", tuple},
+        "map_end_next_run": {"sort", "map", tuple},
     }[name]
     assert paths | {outcome_kind(outcome)} >= expected
     if name.startswith("exit"):
         _nodes, scores, rounds, _corrections = outcome
         assert rounds == 1 and scores.size == (1 if name == "exit" else 2)
+    if name.startswith("map_end"):
+        nodes, scores, _rounds, _corrections = outcome
+        assert nodes[3] == 2.0 and scores.size == (2 if name == "map_end" else 3)
 
 
 def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
@@ -461,20 +486,22 @@ def test_collapse_map_keeps_order_and_the_margin(case):
     old, proposed, growth_constant = case
     x_old = old.mesh.nodes
     territories = remesh._territories(old, proposed.nodes)
-    try:
-        mesh, report = remesh._mapped(x_old, territories, proposed.nodes, growth_constant)
-    except RemeshError as exc:
-        assert str(exc) == "reconstructed mesh is not finite and strictly increasing"
-        return
-    nodes = mesh.nodes
-    assert (np.diff(nodes) > 0.0).all()
-    assert report.rounds == 1
-    assert report.corrections == int((nodes != proposed.nodes).sum())
-    assert report.max_score <= remesh._MAP_MARGIN * (1.0 + 1e-9)
+    factor = 1.0 + 3.0 * growth_constant
+    nodes = remesh._mapped(x_old, territories, proposed.nodes, factor)
+    assert (np.diff(nodes) >= 0.0).all()
     outside = np.ones(nodes.size, dtype=bool)
     for _first, _last, start, stop in territories:
         outside[start:stop] = False
     assert nodes[outside].tobytes() == proposed.nodes[outside].tobytes()
+    # The guard scores the mapped nodes with its walk, in which none moves.
+    walked, scores, rounds, corrections = remesh._walk(x_old, territories, nodes, factor)
+    assert walked is nodes and (rounds, corrections) == (0, 0)
+    assert max(scores, default=0.0) <= remesh._MAP_MARGIN * (1.0 + 1e-9)
+    if (np.diff(nodes) > 0.0).all():
+        _indices, expected = classical.proximity_scores_reference(
+            x_old, extreme_mask(old), nodes, growth_constant
+        )
+        assert np.array(scores).tobytes() == expected.tobytes()
 
 
 def test_guard_params_validation():
@@ -556,7 +583,7 @@ def test_clipping_residuals_bounded_by_allowance():
     out, _report = remesh_step(
         old, EstimatorParams(), ExtremeGuardParams(growth_constant=1.75)
     )
-    pairs = extreme_clipping_residuals(old, out)
+    pairs = classical.extreme_clipping_residuals(old, out)
     assert pairs, "expected at least one clipped extreme"
     for observed, allowed in pairs:
         assert observed <= allowed + 1e-12
