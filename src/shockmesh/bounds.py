@@ -72,14 +72,6 @@ class BoundParams:
         """λ + 2λC; strictly below 1 suffices for the per-extreme bound."""
         return self.clip_factor * (1.0 + 2.0 * self.growth_constant)
 
-    def increase_at(self, step: int) -> float:
-        """a_step, taking the zero-padding convention into account."""
-        if step < 1:
-            raise ValueError("steps are counted from 1")
-        if step > self.increases.size:
-            return 0.0
-        return float(self.increases[step - 1])
-
     def require_coupling(self) -> None:
         if not self.coupling_sum < 1.0:
             raise ValueError(

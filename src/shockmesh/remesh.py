@@ -5,11 +5,11 @@ old interval flanked by a strict interior extreme gets a proximity score.
 Scores of 1 or more mean the node sits close enough to the extreme that the
 next evolution step could re-amplify the oscillation, so such nodes are
 nudged toward the non-extreme end of their interval until every score drops
-below 1. Where those walks would collapse two nodes onto one point, the
-proposal is instead mapped monotonically onto the compliant slivers next to
-each run of extremes. The corrected mesh then receives the old solution by
-linear interpolation, which clips new values near extremes and cannot
-increase total variation.
+below 1. Where those walks would collapse two nodes onto one point, or
+need more than the move cap, the proposal is instead mapped monotonically
+onto the compliant slivers next to each run of extremes. The corrected mesh
+then receives the old solution by linear interpolation, which clips new
+values near extremes and cannot increase total variation.
 """
 
 from __future__ import annotations
@@ -64,15 +64,17 @@ class ExtremeGuardParams:
 
     ``growth_constant`` is the per-step amplification constant of the
     evolution scheme in use; it sets how wide the guarded sliver around an
-    extreme is. The walk's step factor and move cap are the module
-    constants ``_NUDGE`` and ``_MAX_MOVES``.
+    extreme is, and 1 + 3C, the score of a node on an extreme, must be
+    finite. The walk's step factor and move cap are the module constants
+    ``_NUDGE`` and ``_MAX_MOVES``.
     """
 
     growth_constant: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.growth_constant) and self.growth_constant >= 0.0):
-            raise ValueError("growth_constant must be non-negative and finite")
+        c = self.growth_constant
+        if not (c >= 0.0 and math.isfinite(1.0 + 3.0 * float(c))):
+            raise ValueError("growth_constant must be non-negative, with 1 + 3C finite")
 
 
 @dataclass(frozen=True)
@@ -132,17 +134,16 @@ def enforce_extreme_guard(
     ``_walk`` scores each such node and walks every one that scores 1 or
     more alone until it scores below 1; ``rounds`` is the longest walk and
     ``corrections`` the sum of the walk lengths. Where the walks collapse
-    two nodes, the proposal is instead mapped onto the compliant slivers
-    (``_mapped``) and the mapped nodes are scored by the same territory
-    scan, in which none of them walks, since each scores at most
-    ``_MAP_MARGIN``; ``rounds`` is then 1 and ``corrections`` the number
-    of nodes the map moved. A walk that hit the move cap raises
-    ``RemeshError`` with the largest score left, but only when the walks
-    did not collapse.
+    two nodes, or a walker reaches the move cap, the proposal is instead
+    mapped onto the compliant slivers (``_mapped``) and the mapped nodes are
+    scored by the same territory scan. None of them walks: they are checked
+    before they are scored, and a finite mapped node scores at most
+    ``_MAP_MARGIN``. ``rounds`` is then 1 and ``corrections`` the number of
+    nodes the map moved.
 
     The report's scores are each scanned node's last score, in the order
     of the nodes. When no node offends, the proposed nodes are the output.
-    Either way the output is checked once: nodes that are not finite and
+    Either way the output is checked: nodes that are not finite and
     strictly increasing raise ``RemeshError``. The proposal is taken to be
     in increasing order and to span the old mesh, as equidistribution
     gives it.
@@ -153,9 +154,9 @@ def enforce_extreme_guard(
     factor = 1.0 + 3.0 * params.growth_constant
     walked = _walk(x_old, territories, nodes, factor)
     if walked is None:
-        mapped = _mapped(x_old, territories, nodes, factor)
-        x_new, scores, _rounds, _corrections = _walk(x_old, territories, mapped, factor)
-        walked = x_new, scores, 1, int((x_new != nodes).sum())
+        mapped = _checked_mesh(_mapped(x_old, territories, nodes, factor)).nodes
+        _x, scores, _rounds, _corrections = _walk(x_old, territories, mapped, factor)
+        walked = mapped, scores, 1, int((mapped != nodes).sum())
     x_new, scores, rounds, corrections = walked
     return _checked_mesh(x_new), _report(np.array(scores), rounds, corrections)
 
@@ -192,12 +193,11 @@ def _walk(
     capped at the midpoint toward that end: the compliant sliver always
     lies inside the interval, and overshooting into the neighbouring old
     interval can put the node next to a different extreme and restart the
-    correction march there. Moves past a domain endpoint are likewise
-    capped at the midpoint between the node and that endpoint. So a walker
-    never leaves its territory, except onto its right end when a midpoint
-    rounds up to it (a mapped node can round onto it too). Any node there
-    scores 0, and counts only when the next run starts at the next old
-    node.
+    correction march there. A hop lands less than one interval width past
+    an interior extreme of the run. So a walker never leaves its territory,
+    except onto its right end when a midpoint rounds up to it (a mapped
+    node can round onto it too). Any node there scores 0, and counts only
+    when the next run starts at the next old node.
 
     The walks are independent because a node's score and move depend only
     on its own position, the fixed old mesh and the old extremes. Each end
@@ -206,22 +206,19 @@ def _walk(
     and a walker that lands on a resting node is compliant there and stops,
     so the end points show every collapse that a check after each round
     would find. One check at the end is therefore exact: nodes out of order
-    are sorted, with their scores; if a walked coordinate then equals
-    another node, the walk has collapsed two nodes and the result is
-    ``None``. Otherwise a walk that hit the cap raises ``RemeshError``.
+    are sorted, with their scores, and if they are still not strictly
+    increasing, a walked coordinate has landed on another node. The result
+    is then ``None``, as it is at once when a walker reaches the move cap.
 
     Returns the nodes after the walks, the scores in node order, the
     longest walk and the sum of the walk lengths; ``nodes`` itself when no
     node walks.
     """
-    a = float(nodes[0])
-    b = float(nodes[-1])
     xs = []
     scores = []
     walkers = []
     ends = []
     lengths = []
-    capped = []
     for k, (first, last, start, stop) in enumerate(territories):
         knots = x_old[first - 1 : last + 2].tolist()
         top = len(knots) - 2
@@ -244,8 +241,7 @@ def _walk(
                 if score < 1.0:
                     break
                 if moves == _MAX_MOVES:
-                    capped.append(score)
-                    break
+                    return None
                 near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
                 span = abs(xj - near)
                 moved = xj + direction * (_NUDGE * max(span, 0.5 * width))
@@ -259,10 +255,6 @@ def _walk(
                     # one interval distinct.
                     dest = knots[cell + 2] - xr if use_left else xl - knots[cell - 1]
                     moved = far + direction * (_NUDGE * dest * (1.0 - 0.5 * span / width))
-                if moved >= b:
-                    moved = 0.5 * (xj + b)
-                if moved <= a:
-                    moved = 0.5 * (xj + a)
                 xj = moved
                 moves += 1
                 if not xl <= xj < xr:
@@ -283,15 +275,10 @@ def _walk(
     x_new[walkers] = ends
     if not (x_new[1:] > x_new[:-1]).all():
         x_new.sort()
-        # A walked coordinate found twice collapsed onto another node.
-        if (x_new.searchsorted(ends, side="right") - x_new.searchsorted(ends) > 1).any():
+        # Only a walked coordinate can land on another node.
+        if not (x_new[1:] > x_new[:-1]).all():
             return None
         scores = [score for _x, score in sorted(zip(xs, scores))]
-    if capped:
-        raise RemeshError(
-            f"proximity scores still reach {max(capped):.6g} "
-            f"after {_MAX_MOVES} correction rounds"
-        )
     return x_new, scores, max(lengths), sum(lengths)
 
 

@@ -272,6 +272,13 @@ def extreme_guard_map_reference(x_old, extreme, proposed_nodes, params, theta):
     return nodes, scores, 1, moved
 
 
+def increase_at(params, step):
+    """a_step for step >= 1, read as zero past the end of ``params.increases``."""
+    if step > params.increases.size:
+        return 0.0
+    return float(params.increases[step - 1])
+
+
 def extreme_bound_table_reference(params, last_step):
     """The extreme-magnitude recurrence, filling a numpy table entry by entry."""
     lam = params.clip_factor
@@ -279,7 +286,7 @@ def extreme_bound_table_reference(params, last_step):
     grow = 1.0 + 2.0 * c
     table = np.zeros((last_step + 1, last_step + 1))
     for k in range(1, last_step + 1):
-        table[1, k] = lam * (grow * table[1, k - 1] + params.increase_at(k))
+        table[1, k] = lam * (grow * table[1, k - 1] + increase_at(params, k))
         for m in range(2, k + 1):
             table[m, k] = lam * (grow * table[m, k - 1] + c * table[m - 1, k - 1])
     return table
@@ -310,7 +317,7 @@ def extreme_bound_closed_form_reference(params, m, k):
     total = 0.0
     power = 1.0
     for j in range(terms):
-        total += binom[j] * power * params.increase_at(k - m + 1 - j)
+        total += binom[j] * power * increase_at(params, k - m + 1 - j)
         power *= ratio
     return lam**m * c ** (m - 1) * total
 
@@ -324,14 +331,14 @@ def increase_contribution(params, m, k):
     """
     if k < m:
         return 0.0
-    return params.clip_factor * params.coupling_sum ** (k - m) * params.increase_at(m)
+    return params.clip_factor * params.coupling_sum ** (k - m) * increase_at(params, m)
 
 
 def total_increase_contribution_reference(params, k):
     """Sum of the per-increase contributions alive at step k, term by term."""
     total = 0.0
     for m in range(1, k + 1):
-        total += params.coupling_sum ** (k - m) * params.increase_at(m)
+        total += params.coupling_sum ** (k - m) * increase_at(params, m)
     return params.clip_factor * total
 
 

@@ -38,11 +38,9 @@ def test_bound_params_validation():
 
 
 def test_increase_sequence_pads_with_zero():
-    p = params(increases=(0.5, 0.25))
-    assert p.increase_at(1) == 0.5
-    assert p.increase_at(2) == 0.25
-    assert p.increase_at(3) == 0.0
-    assert p.increase_at(100) == 0.0
+    short = extreme_bound_table(params(increases=(0.5, 0.25)), 6).values
+    padded = extreme_bound_table(params(increases=(0.5, 0.25, 0.0, 0.0, 0.0, 0.0)), 6).values
+    assert short.tobytes() == padded.tobytes()
 
 
 def test_coupling_properties():

@@ -5,9 +5,12 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +213,25 @@ def test_unusable_paths_exit_two_and_create_nothing(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+def test_simulate_reads_the_config_as_utf8_under_an_ascii_locale(tmp_path):
+    # The config is UTF-8 text whatever the locale: an en dash in a comment
+    # must not fail under the C locale.
+    raw = "# transport \u2013 a smoke run\n" + BASE_CONFIG
+    (tmp_path / "run.cfg").write_bytes(raw.encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "shockmesh", "simulate", "run.cfg", "out"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "tv_series.csv").exists()
 
 
 def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):

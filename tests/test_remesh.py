@@ -214,13 +214,18 @@ def test_enforcement_rejects_a_bad_output_mesh(tail, first):
         enforce_extreme_guard(old, proposed, params)
 
 
-def test_enforcement_round_cap_raises(monkeypatch):
+def test_enforcement_round_cap_maps(monkeypatch):
+    # The walk from 0.5 needs three moves; with a cap of one the proposal is
+    # mapped instead: [-1, 1) onto slivers of 0.125 at each end, so 0.5 goes
+    # to 1 - 0.5 * 0.125, where it scores 0.0625 * (1 + 3C).
     monkeypatch.setattr(remesh, "_MAX_MOVES", 1)
     old = peaked_solution()
     proposed = Mesh(np.array([-1.0, 0.5, 2.0]))
     params = ExtremeGuardParams(growth_constant=1.0)
-    with pytest.raises(RemeshError, match="after 1 correction rounds"):
-        enforce_extreme_guard(old, proposed, params)
+    fixed, report = enforce_extreme_guard(old, proposed, params)
+    assert fixed.nodes.tolist() == [-1.0, 0.9375, 2.0]
+    assert (report.rounds, report.corrections) == (1, 1)
+    assert report.max_score == 0.25
 
 
 def guard_outcome(guard, *args):
@@ -235,20 +240,14 @@ COLLAPSE = "corrections collapsed two nodes onto one point"
 CAP = "proximity scores still reach"
 
 
-def outcome_kind(outcome):
-    """The walk's move-cap raise as "cap", any other outcome as its type."""
-    if isinstance(outcome, RemeshError) and str(outcome).startswith(CAP):
-        return "cap"
-    return type(outcome)
-
-
 def assert_guard_matches_full_rescan(old, proposed, params, paths=None, walk=None):
     """Run the guard and the full-rescan reference; demand bitwise agreement.
 
     ``walk`` maps the walk's module constants (``_NUDGE``, ``_MAX_MOVES``)
     to the values both sides run with. Where the reference's walk collapses
-    two nodes, the guard must give what the plain-loop map reference gives
-    for the same proposal ("map" is then added to ``paths``).
+    two nodes or hits the move cap, the guard must give what the plain-loop
+    map reference gives for the same proposal ("map" is then added to
+    ``paths``, and "cap" too for the move cap).
     """
     args = (old.mesh.nodes, extreme_mask(old), proposed.nodes, params)
     with pytest.MonkeyPatch.context() as patch:
@@ -256,9 +255,11 @@ def assert_guard_matches_full_rescan(old, proposed, params, paths=None, walk=Non
             patch.setattr(remesh, name, value)
         expected = guard_outcome(classical.extreme_guard_full_rescan, *args, paths)
         got = guard_outcome(enforce_extreme_guard, old, proposed, params)
-    if isinstance(expected, RemeshError) and str(expected) == COLLAPSE:
+    if isinstance(expected, RemeshError) and str(expected).startswith((COLLAPSE, CAP)):
         if paths is not None:
             paths.add("map")
+            if str(expected).startswith(CAP):
+                paths.add("cap")
         expected = guard_outcome(
             classical.extreme_guard_map_reference, *args, remesh._MAP_MARGIN
         )
@@ -322,8 +323,7 @@ def test_guard_matches_full_rescan_reference():
     def check(case):
         old, proposed, params, walk = case
         outcome = assert_guard_matches_full_rescan(old, proposed, params, seen, walk)
-        if isinstance(outcome, RemeshError):
-            seen.add(outcome_kind(outcome))
+        seen.add(type(outcome))
 
     check()
     assert {"sort", "dual", "map", RemeshError, "cap"} <= seen
@@ -379,7 +379,8 @@ def rare_guard_cases():
             {},
         ),
         # the one-ulp pair collapses on its first move, while the node at
-        # 1.0 needs three moves: the collapse wins over the round cap
+        # 1.0 needs three moves: the reference raises the collapse, not the
+        # round cap, and the map rounds the pair together too
         "collapse_before_cap": (
             peak,
             Mesh(np.array([0.0, 1.0, 1.900000001, 1.9000000010000002, 2.9])),
@@ -431,7 +432,7 @@ def test_guard_matches_full_rescan_on_rare_geometries(name):
         "tie": {"dual"},
         "crossing": {"sort"},
         "collapse": {"sort", "map", RemeshError},
-        "round_cap": {"cap"},
+        "round_cap": {"cap", "map", tuple},
         "landing": {"sort", "map", tuple},
         "collapse_before_cap": {"sort", "map", RemeshError},
         "exit": {tuple},
@@ -439,13 +440,45 @@ def test_guard_matches_full_rescan_on_rare_geometries(name):
         "map_end": {"sort", "map", tuple},
         "map_end_next_run": {"sort", "map", tuple},
     }[name]
-    assert paths | {outcome_kind(outcome)} >= expected
+    assert paths | {type(outcome)} >= expected
     if name.startswith("exit"):
         _nodes, scores, rounds, _corrections = outcome
         assert rounds == 1 and scores.size == (1 if name == "exit" else 2)
     if name.startswith("map_end"):
         nodes, scores, _rounds, _corrections = outcome
         assert nodes[3] == 2.0 and scores.size == (2 if name == "map_end" else 3)
+
+
+def zigzag_of_sixty():
+    """Old nodes 0..61 whose values zigzag, so 1..60 are one run of extremes."""
+    values = np.zeros(62)
+    values[1:61:2] = 1.0
+    values[61] = 0.5
+    return GridSolution(Mesh(np.arange(62.0)), values)
+
+
+@pytest.mark.parametrize(
+    "old, proposed, growth_constant",
+    [
+        # the walker from 1.05 hops through one dual interval per move
+        (zigzag_of_sixty(), Mesh(np.array([0.0, 1.05, 61.0])), 1.0),
+        # a node on the extreme scores 1 + 3C, more than 50 moves can undo
+        (
+            GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 1.0, 0.0, 0.0])),
+            Mesh(np.array([0.0, 1.0, 2.5, 3.0])),
+            1e14,
+        ),
+    ],
+    ids=["zigzag", "large_c"],
+)
+def test_walk_past_the_move_cap_is_mapped(old, proposed, growth_constant):
+    params = ExtremeGuardParams(growth_constant)
+    mesh, report = enforce_extreme_guard(old, proposed, params)
+    assert (np.diff(mesh.nodes) > 0.0).all()
+    assert report.max_score <= remesh._MAP_MARGIN * (1.0 + 1e-9)
+    paths = set()
+    assert_guard_matches_full_rescan(old, proposed, params, paths)
+    assert {"cap", "map"} <= paths
 
 
 def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
@@ -504,9 +537,12 @@ def test_collapse_map_keeps_order_and_the_margin(case):
         assert np.array(scores).tobytes() == expected.tobytes()
 
 
-def test_guard_params_validation():
+@pytest.mark.parametrize("growth_constant", [-1.0, np.nan, np.inf, 1e308])
+def test_guard_params_validation(growth_constant):
+    # 1 + 3C overflows for C = 1e308: every node next to an extreme would
+    # score infinity, and no walk or map could make it compliant.
     with pytest.raises(ValueError):
-        ExtremeGuardParams(growth_constant=-1.0)
+        ExtremeGuardParams(growth_constant=growth_constant)
 
 
 def test_interpolate_update_same_mesh_is_identity():
