@@ -45,14 +45,30 @@ def export_revision(rev: str, dest: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
-def run_workload(checkout: Path, workload: str, seconds: float, trace: int) -> dict:
-    """One perfbench run; returns the JSON object of its last output line."""
+def run_workload(checkout: Path, side: str, workload: str, seconds: float, trace: int) -> dict:
+    """One perfbench run; returns the JSON object of its last output line.
+
+    A run that exits non-zero or whose last line is not JSON raises
+    ``RuntimeError`` naming the workload, the side, the exit code and the
+    last 20 lines of the run's stderr.
+    """
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    reason = "exited non-zero"
+    if done.returncode == 0:
+        lines = done.stdout.strip().splitlines()
+        try:
+            return json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            reason = "printed no JSON last line"
+    stderr_tail = "\n".join(done.stderr.splitlines()[-20:])
+    raise RuntimeError(
+        f"perfbench run of workload {workload!r} on the {side} side {reason} "
+        f"(exit code {done.returncode}); last 20 lines of stderr:\n{stderr_tail}"
+    )
 
 
 def summary(runs: list[float]) -> dict:
@@ -95,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_workload(sides[side], workload, args.seconds, 0)
+                    result = run_workload(sides[side], side, workload, args.seconds, 0)
                     runs[side].append(result["metrics"])
                 print(f"{workload}: pair {pair + 1} of {args.pairs} done", file=sys.stderr)
             end_to_end.append({
@@ -111,7 +127,9 @@ def main(argv: list[str] | None = None) -> int:
                     for name, better in directions.items()
                 },
             })
-            traced = {side: run_workload(path, workload, 0, 1) for side, path in sides.items()}
+            traced = {
+                side: run_workload(path, side, workload, 0, 1) for side, path in sides.items()
+            }
             per_layer[workload] = {
                 "failed": {side: traced[side]["failed"] for side in sides},
                 "metrics": {

@@ -193,7 +193,8 @@ def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list
 
 def cmd_simulate(config_path: str, outdir: str) -> int:
     try:
-        text = Path(config_path).read_text(encoding="utf-8")
+        # utf-8-sig drops a leading byte-order mark, which some editors write.
+        text = Path(config_path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -60,11 +60,10 @@ class BlowUpError(RuntimeError):
     callers can persist the partial run.
     """
 
-    def __init__(self, step: int, records: list["StepRecord"], partial: GridSolution):
+    def __init__(self, step: int, records: list["StepRecord"]):
         super().__init__(f"solution blew up at step {step}")
         self.step = step
         self.records = records
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -227,9 +226,7 @@ def run_simulation(
         overshoot, increase = measure_front(current.values, high, growth)
 
         widths = CellGeometry.from_mesh(current.mesh).widths
-        dt = choose_dt(
-            current, config.problem, config.cfl_target, max_dt=remaining, cell_widths=widths
-        )
+        dt = choose_dt(current, config.problem, config.cfl_target, remaining, widths)
         # dt = cfl * min(width) / speed: it fails to be positive only when
         # two cell interfaces of the reconstructed mesh round together.
         if not (math.isfinite(dt) and dt > 0.0):
@@ -239,7 +236,7 @@ def run_simulation(
 
         vals = advanced.values
         if not np.isfinite(vals).all() or np.abs(vals).max() > _MAGNITUDE_LIMIT:
-            raise BlowUpError(step, records, current)
+            raise BlowUpError(step, records)
 
         ratio = evolution_ratio(current.values, advanced.values)
         remaining -= dt

@@ -84,12 +84,11 @@ class Mesh:
         return self.nodes.size
 
     @classmethod
-    def uniform(cls, n: int, a: float = 0.0, b: float = 1.0) -> "Mesh":
+    def uniform(cls, n: int) -> "Mesh":
+        """``n`` equally spaced nodes on the unit interval [0, 1]."""
         if n < 2:
             raise ValueError("n must be at least 2")
-        if not b > a:
-            raise ValueError("b must exceed a")
-        return cls(np.linspace(a, b, n))
+        return cls(np.linspace(0.0, 1.0, n))
 
 
 @dataclass(frozen=True)
@@ -181,13 +180,11 @@ def burgers_problem() -> Problem:
     )
 
 
-def make_jump_initial(
-    mesh: Mesh, x0: float, high: float = 1.0, low: float = 0.0
-) -> GridSolution:
-    """Step profile: ``high`` at nodes with x <= x0, ``low`` beyond."""
+def make_jump_initial(mesh: Mesh, x0: float) -> GridSolution:
+    """Step profile: 1 at nodes with x <= x0, 0 beyond."""
     if not (mesh.a < x0 < mesh.b):
         raise ValueError(f"jump position {x0} outside the open domain ({mesh.a}, {mesh.b})")
-    values = np.where(mesh.nodes <= x0, float(high), float(low))
+    values = np.where(mesh.nodes <= x0, 1.0, 0.0)
     return GridSolution(mesh, values)
 
 

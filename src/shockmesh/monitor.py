@@ -26,6 +26,15 @@ __all__ = [
 
 _MASS_FLOOR = 1e-9
 
+# Every score is floored at this fraction of the largest score, which caps
+# the mesh density contrast at roughly (1 / _RELATIVE_FLOOR) ** power.
+# Without the cap, near-flat regions carry almost no monitor mass, so on
+# data with one sharp feature every remesh shrinks the cluster by another
+# factor of the node count. The cell widths, and with them the stable time
+# step, then collapse geometrically and the integration stalls at a fixed
+# time.
+_RELATIVE_FLOOR = 0.02
+
 
 @dataclass(frozen=True)
 class EstimatorParams:
@@ -34,28 +43,16 @@ class EstimatorParams:
     ``floor`` keeps the monitor strictly positive on flat data; ``power``
     (in (0, 1]) flattens the score distribution, trading cluster sharpness
     for coverage.
-
-    ``relative_floor`` additionally floors every score at that fraction of
-    the largest score, which caps the mesh density contrast at roughly
-    ``(1 / relative_floor) ** power``. Without the cap, near-flat regions
-    carry almost no monitor mass, so on data with one sharp feature every
-    remesh shrinks the cluster by another factor of the node count. The
-    cell widths, and with them the stable time step, then collapse
-    geometrically and the integration stalls at a fixed time. Set it to
-    zero to disable the cap.
     """
 
     floor: float = 1e-15
     power: float = 0.9
-    relative_floor: float = 0.02
 
     def __post_init__(self):
         if not (np.isfinite(self.floor) and self.floor > 0.0):
             raise ValueError("floor must be a positive finite number")
         if not (np.isfinite(self.power) and 0.0 < self.power <= 1.0):
             raise ValueError("power must lie in (0, 1]")
-        if not (np.isfinite(self.relative_floor) and 0.0 <= self.relative_floor < 1.0):
-            raise ValueError("relative_floor must lie in [0, 1)")
 
 
 def discrete_curvature(solution: GridSolution) -> np.ndarray:
@@ -88,14 +85,14 @@ def discrete_curvature(solution: GridSolution) -> np.ndarray:
 def regularize_curvature(scores: np.ndarray, params: EstimatorParams) -> np.ndarray:
     """Apply the positivity floor, then the flattening power, in that order.
 
-    The relative floor (fraction of the peak score) is applied together
-    with the absolute one, before the power, so uniform score vectors stay
-    uniform and the flattening acts on the already-capped contrast.
+    The relative floor ``_RELATIVE_FLOOR`` (fraction of the peak score) is
+    applied together with the absolute one, before the power, so uniform
+    score vectors stay uniform and the flattening acts on the already-capped
+    contrast.
     """
     arr = _as_float_array(scores, "scores")
     arr = np.maximum(arr, params.floor)
-    if params.relative_floor > 0.0 and arr.size:
-        arr = np.maximum(arr, params.relative_floor * arr.max())
+    arr = np.maximum(arr, _RELATIVE_FLOOR * arr.max(initial=0.0))
     return arr ** params.power
 
 

@@ -88,20 +88,18 @@ def choose_dt(
     solution: GridSolution,
     problem: Problem,
     cfl_target: float,
-    max_dt: float = np.inf,
-    cell_widths: np.ndarray | None = None,
+    max_dt: float,
+    cell_widths: np.ndarray,
 ) -> float:
-    """Largest dt meeting the CFL target on the current mesh, capped at max_dt.
+    """Largest dt meeting the CFL target on ``cell_widths``, capped at max_dt.
 
     The wave speed is the max of |f'| over the nodal values, floored at
     ``_SPEED_FLOOR`` to keep dt finite near rest states. ``cell_widths``
-    are the mesh's cell widths when the caller already has them; they are
-    derived otherwise.
+    are the widths of the solution mesh's cells, as
+    ``CellGeometry.from_mesh`` derives them.
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
-    if cell_widths is None:
-        cell_widths = CellGeometry.from_mesh(solution.mesh).widths
     speed = max(float(np.abs(problem.dflux(solution.values)).max()), _SPEED_FLOOR)
     dt = cfl_target * float(cell_widths.min()) / speed
     return min(dt, max_dt)
@@ -151,9 +149,11 @@ def _maccormack_kernel(u, f, h, dt, problem):
 def _ftcs_kernel(u, f, h, dt, problem):
     """Forward-time centred-space step (anti-diffusive; needs the guard).
 
-    Interior update: subtract the centred flux difference over the two-cell
-    span. Algebraically identical to the conservative form with arithmetic
-    -mean interface fluxes.
+    Interior update: subtract the centred flux difference f_{i+1} - f_{i-1}
+    over h_i + h_{i+1}. The conservative form with arithmetic-mean interface
+    fluxes divides by 2 h_i instead, so the two agree only on a uniform
+    mesh; on a non-uniform one the step does not conserve the dual-cell
+    mass sum(h * u).
     """
     out = u.copy()
     out[1:-1] = u[1:-1] - dt * (f[2:] - f[:-2]) / (h[1:-1] + h[2:])

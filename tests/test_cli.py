@@ -234,6 +234,18 @@ def test_simulate_reads_the_config_as_utf8_under_an_ascii_locale(tmp_path):
     assert (tmp_path / "out" / "tv_series.csv").exists()
 
 
+def test_simulate_ignores_a_byte_order_mark(tmp_path):
+    # An editor may save the config with a UTF-8 byte-order mark; it must not
+    # turn the first key into an unknown one.
+    plain = write_config(tmp_path)
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["simulate", str(plain), str(tmp_path / "plain")]) == 0
+    assert main(["simulate", str(marked), str(tmp_path / "marked")]) == 0
+    for name in ("tv_series.csv", "snapshots.csv"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_simulate_blow_up_exits_three_with_partial_outputs(tmp_path, capsys):
     cfg = write_config(tmp_path, BLOW_UP_CONFIG)
     out = tmp_path / "out"

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 import classical
 import shockmesh.driver as driver
+import shockmesh.remesh as remesh
 from shockmesh import (
     BlowUpError,
     BoundParams,
     CellGeometry,
     ExtremeGuardParams,
+    ExtremeGuardReport,
     GridSolution,
     Mesh,
     MonitorTable,
@@ -24,7 +26,6 @@ from shockmesh import (
     StepContext,
     evolution_constant,
     front_window,
-    make_jump_initial,
     measure_front,
     run_simulation,
     total_variation,
@@ -237,7 +238,7 @@ def test_boundary_values_stay_frozen_over_a_run(monkeypatch):
     monkeypatch.setattr(
         driver,
         "make_jump_initial",
-        lambda mesh, x0: make_jump_initial(mesh, x0, high=2.0, low=-1.0),
+        lambda mesh, x0: GridSolution(mesh, np.where(mesh.nodes <= x0, 2.0, -1.0)),
     )
     result = run_simulation(small_config())
     assert result.final.values[0] == 2.0
@@ -246,11 +247,26 @@ def test_boundary_values_stay_frozen_over_a_run(monkeypatch):
     assert max(r.overshoot for r in result.records) < 0.5
 
 
+def test_the_guard_keeps_adaptive_ftcs_transport_from_oscillating(monkeypatch):
+    # Adaptive FTCS transport at CFL 1: with the guard the total variation
+    # barely grows; with every proposal passed through unchanged, the
+    # remeshing alone lets it grow by more than 0.05.
+    cfg = small_config(scheme=SchemeKind.FTCS, n=200, cfl_target=1.0, final_time=0.45)
+    guarded = run_simulation(cfg).records[-1].tvi
+    monkeypatch.setattr(
+        remesh,
+        "enforce_extreme_guard",
+        lambda old, proposed, params: (proposed, ExtremeGuardReport(0.0, 0.0, 0, 0)),
+    )
+    unguarded = run_simulation(cfg).records[-1].tvi
+    assert unguarded > 0.05
+    assert not guarded > 0.05
+
+
 def test_uniform_ftcs_on_burgers_blows_up(uniform_runs):
     outcome, _ = uniform_runs[("burgers", SchemeKind.FTCS)]
     assert isinstance(outcome, BlowUpError)
     assert outcome.step > len(outcome.records)
-    assert np.all(np.isfinite(outcome.partial.values))
 
 
 def test_blow_up_keeps_partial_history():
@@ -289,7 +305,6 @@ def test_non_finite_scheme_output_is_a_blow_up():
     err = info.value
     assert err.step == 7
     assert len(err.records) == 6
-    assert np.isfinite(err.partial.values).all()
 
 
 @pytest.mark.usefixtures("crowded_nodes")

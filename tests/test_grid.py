@@ -86,10 +86,10 @@ def test_flux_convexity_validator():
 
 def test_jump_initial_condition():
     mesh = Mesh.uniform(11)
-    sol = make_jump_initial(mesh, 0.5, high=2.0, low=-1.0)
+    sol = make_jump_initial(mesh, 0.5)
     assert isinstance(sol, GridSolution)
-    assert np.all(sol.values[mesh.nodes <= 0.5] == 2.0)
-    assert np.all(sol.values[mesh.nodes > 0.5] == -1.0)
+    assert np.all(sol.values[mesh.nodes <= 0.5] == 1.0)
+    assert np.all(sol.values[mesh.nodes > 0.5] == 0.0)
     with pytest.raises(ValueError):
         make_jump_initial(mesh, 0.0)
     with pytest.raises(ValueError):

@@ -25,10 +25,6 @@ def test_estimator_params_validation():
         EstimatorParams(power=0.0)
     with pytest.raises(ValueError):
         EstimatorParams(power=1.5)
-    with pytest.raises(ValueError):
-        EstimatorParams(relative_floor=1.0)
-    with pytest.raises(ValueError):
-        EstimatorParams(relative_floor=-0.1)
 
 
 def test_curvature_of_symmetric_peak():
@@ -68,12 +64,16 @@ def test_regularize_caps_density_contrast():
     scores = np.array([1e-12, 1.0, 100.0])
     out = regularize_curvature(scores, params)
     contrast = out.max() / out.min()
-    assert contrast <= (1.0 / params.relative_floor) ** params.power * (1 + 1e-12)
+    assert contrast <= (1.0 / monitor._RELATIVE_FLOOR) ** params.power * (1 + 1e-12)
 
 
-def test_regularize_without_relative_floor_is_pure_power():
-    params = EstimatorParams(relative_floor=0.0)
-    scores = np.array([1e-12, 1.0, 100.0])
+def test_regularize_above_the_relative_floor_is_pure_power():
+    # Every score is at least _RELATIVE_FLOOR times the largest, so the
+    # relative floor changes nothing and only the absolute floor and the
+    # power act.
+    params = EstimatorParams()
+    scores = np.array([3.0, 2.5, 100.0, 7.5])
+    assert scores.min() >= monitor._RELATIVE_FLOOR * scores.max()
     out = regularize_curvature(scores, params)
     assert np.array_equal(out, np.maximum(scores, params.floor) ** params.power)
 

@@ -56,8 +56,8 @@ def test_step_context_for_solution_uses_cell_widths():
 def test_choose_dt_matches_cfl_definition():
     sol = uniform_state(9)
     prob = burgers_problem()
-    dt = choose_dt(sol, prob, 0.4)
     widths = CellGeometry.from_mesh(sol.mesh).widths
+    dt = choose_dt(sol, prob, 0.4, np.inf, widths)
     speed = np.max(np.abs(prob.dflux(sol.values)))
     assert dt == pytest.approx(0.4 * widths.min() / speed, rel=1e-15)
     assert classical.cfl_number(sol, prob, dt) == pytest.approx(0.4, rel=1e-12)
@@ -67,14 +67,16 @@ def test_choose_dt_uses_given_cell_widths():
     sol = GridSolution(Mesh(np.array([0.0, 0.1, 0.35, 0.7, 1.0])), np.linspace(1.0, 0.0, 5))
     prob = burgers_problem()
     widths = CellGeometry.from_mesh(sol.mesh).widths
-    assert choose_dt(sol, prob, 0.4, cell_widths=widths) == choose_dt(sol, prob, 0.4)
-    assert choose_dt(sol, prob, 0.4, cell_widths=2.0 * widths) == 2.0 * choose_dt(sol, prob, 0.4)
+    dt = choose_dt(sol, prob, 0.4, np.inf, widths)
+    assert dt == 0.4 * widths.min() / np.abs(prob.dflux(sol.values)).max()
+    assert choose_dt(sol, prob, 0.4, np.inf, 2.0 * widths) == 2.0 * dt
 
 
 def test_choose_dt_flat_state_clipped_by_max_dt():
     mesh = Mesh.uniform(9)
     sol = GridSolution(mesh, np.zeros(9))
-    dt = choose_dt(sol, burgers_problem(), 0.5, max_dt=0.125)
+    widths = CellGeometry.from_mesh(mesh).widths
+    dt = choose_dt(sol, burgers_problem(), 0.5, 0.125, widths)
     assert dt == 0.125  # zero wave speed, the cap decides
 
 
@@ -127,7 +129,9 @@ def test_constant_states_are_fixed_points():
 
 def test_ftcs_direct_and_conservative_forms_agree():
     # The step differences nodal fluxes directly; averaging them into
-    # interface fluxes first is algebraically the same update.
+    # interface fluxes first gives the same update over the same
+    # (h_i + h_{i+1}) / 2. That is the conservative form, whose denominator
+    # is h_i, only on a uniform mesh.
     for seed in (41, 43, 47):
         sol = random_nonuniform_state(25, seed=seed)
         dt = 0.3 * np.diff(sol.mesh.nodes).min()
@@ -218,7 +222,7 @@ def test_evolution_ratio_flat_before_is_zero():
 def test_evolution_ratio_within_constant_on_short_run():
     prob = transport_problem()
     sol = uniform_state(33, seed=9)
-    dt = choose_dt(sol, prob, 0.5)
+    dt = choose_dt(sol, prob, 0.5, np.inf, CellGeometry.from_mesh(sol.mesh).widths)
     ctx = StepContext.for_solution(sol, dt, 0.5)
     for kind in SchemeKind:
         out = scheme_step(kind, sol, ctx, prob)
