@@ -212,9 +212,12 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        # A 1 MiB write buffer: one write call per about 40 steps of an
-        # adaptive run at N = 1600, instead of two per step.
-        with tempfile.TemporaryFile(dir=out, buffering=1 << 20) as spill:
+        # A 64 KiB write buffer: one write call per about 2.5 steps of an
+        # adaptive run at N = 1600, instead of two per step. A larger one
+        # comes from the heap once glibc has raised its mmap threshold past
+        # it, and a process that runs many simulations can then need fresh
+        # pages for a later large array (about +3 MB peak RSS with 1 MiB).
+        with tempfile.TemporaryFile(dir=out, buffering=1 << 16) as spill:
             manifest = _simulate_into(out, spill, config, settings)
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
@@ -271,10 +274,14 @@ def _simulate_into(
 
 
 def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
-    """Walk the bound triangle once, self-checking and formatting each entry.
+    """Walk the bound triangle once, self-checking each entry; returns the
+    header line and the text of all rows.
 
     Raises RuntimeError at the first failed check, so no line of a table
-    that fails is ever written.
+    that fails is ever written. The uniform bound depends on m alone and,
+    for the constant increases ``cmd_theory`` builds, the contribution on
+    the age k - m alone, so each of those 2 * ``last_step`` texts is
+    formatted once, and all rows take one %-format.
     """
     try:
         table = extreme_bound_table(params, last_step)
@@ -289,16 +296,19 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     b1 = tv_increase_bound_from_extremes(params)
     b2 = tv_increase_bound_from_contributions(params)
     slack = 1.0 + 1e-12
-    lines = ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2"]
-    # One %-format per row: '%.17g' % x is the text of _fmt(x).
-    row = "%d,%d" + ",%.17g" * 5 + f",{_fmt(b1)},{_fmt(b2)}"
     values = table.values.tolist()
     closed_forms = _closed_form_table(params, last_step).tolist()
+    # '%.17g' % x is the text of _fmt(x).
+    uniform_texts = ["%.17g" % bound for bound in uniform]
     # The share of the step-m increase a_m still alive at step k,
     # clip * coupling**(k - m) * a_m, from plain floats.
     clip = params.clip_factor
     coupling = params.coupling_sum
-    increases = params.increases.tolist()
+    increase = float(params.increases[0])
+    contribution_texts = [
+        "%.17g" % (clip * coupling**age * increase) for age in range(last_step)
+    ]
+    cells = []
     for k in range(1, last_step + 1):
         previous = math.inf
         partial = 0.0
@@ -315,17 +325,16 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
                 raise RuntimeError(f"uniform bound violated at m={m}, k={k}")
             previous = rec
             partial += rec
-            lines.append(row % (
-                m, k, rec, closed, uniform[m - 1],
-                clip * coupling ** (k - m) * increases[m - 1], partial,
-            ))
+            cells += (m, k, rec, closed, uniform_texts[m - 1], contribution_texts[k - m], partial)
         if table.column_sum(k) > envelope * slack:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
         if 2.0 * total_increase_contribution(params, k) > b2 * slack:
             raise RuntimeError(f"contribution bound violated at k={k}")
     if b2 > b1:
         raise RuntimeError("contribution bound exceeds extreme-sum bound")
-    return lines
+    row = f"%d,%d,%.17g,%.17g,%s,%s,%.17g,{_fmt(b1)},{_fmt(b2)}"
+    rows = "\n".join([row] * (last_step * (last_step + 1) // 2)) % tuple(cells)
+    return ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2", rows]
 
 
 def cmd_theory(

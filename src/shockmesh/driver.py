@@ -134,7 +134,10 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
     ``c[j + 1] - c[lo]``, so for every right end j the largest admissible
     lo is found by a ``searchsorted`` of ``c[j + 1] - target`` in ``c``.
     Among windows of minimal length the leftmost one is returned. Returns
-    None when the data has no variation at all.
+    None when the data has no variation at all. Right ends stop at the
+    first j whose prefix sum already equals the last one: beyond it, on
+    the flat tail, lo stays put and the window only grows, so none of
+    them could win.
 
     The comparison runs on differences of prefix sums, where a running
     two-pointer sum would add and drop jumps one at a time; the two round
@@ -152,7 +155,7 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
     prefix = np.empty(values.size)
     prefix[0] = 0.0
     ends = jumps.cumsum(out=prefix[1:])
-    hi = (ends >= target).nonzero()[0]
+    hi = (ends[: ends.searchsorted(ends[-1]) + 1] >= target).nonzero()[0]
     if hi.size == 0:
         return None
     lo = np.minimum(prefix.searchsorted(ends[hi] - target, side="right") - 1, hi)
@@ -235,7 +238,8 @@ def run_simulation(
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 
         vals = advanced.values
-        if not np.isfinite(vals).all() or np.abs(vals).max() > _MAGNITUDE_LIMIT:
+        # NaN and inf both fail this test.
+        if not np.abs(vals).max() <= _MAGNITUDE_LIMIT:
             raise BlowUpError(step, records)
 
         ratio = evolution_ratio(current.values, advanced.values)

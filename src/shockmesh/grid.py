@@ -4,7 +4,8 @@ Everything downstream works on a 1-D mesh of strictly increasing nodes with
 one solution value per node. Cell geometry (widths of the finite-volume cells
 implied by a mesh) is derived, never stored as a second solution layout. One
 piecewise-linear sampler serves both the solution transfer and the inversion
-of the cumulative monitor.
+of the cumulative monitor; its interval lookup is apart from its body, so a
+rebuild can hand the cells equidistribution found on to the transfer.
 """
 
 from __future__ import annotations
@@ -225,8 +226,42 @@ def piecewise_linear_sample(
     """
     x_new = np.asarray(x_new, dtype=np.float64)
     idx = _interval_index(xs, x_new)
-    x_left = xs[idx]
-    x_right = xs[idx + 1]
+    return _sample_in_cells(ys, x_new, idx, xs[idx], xs[idx + 1])
+
+
+def _sample_near(
+    xs: np.ndarray, ys: np.ndarray, x_new: np.ndarray, cells: np.ndarray
+) -> np.ndarray:
+    """``piecewise_linear_sample(xs, ys, x_new)``, given a guess of each cell.
+
+    ``cells[j]`` is a knot interval index in [0, xs.size - 2], taken as the
+    interval of ``x_new[j]`` when x_new[j] lies in its closed interval
+    [xs[c], xs[c + 1]]; only the queries outside their guess are searched.
+    The values are bitwise those of the full search for any guesses: a query
+    strictly inside or on the left end of its interval has that interval in
+    both, and one on the right end gets that knot's value from either side.
+    """
+    x_left = xs[cells]
+    x_right = xs[cells + 1]
+    missed = ((x_new < x_left) | (x_new > x_right)).nonzero()[0]
+    if missed.size:
+        cells = cells.copy()
+        found = _interval_index(xs, x_new[missed])
+        cells[missed] = found
+        x_left[missed] = xs[found]
+        x_right[missed] = xs[found + 1]
+    return _sample_in_cells(ys, x_new, cells, x_left, x_right)
+
+
+def _sample_in_cells(
+    ys: np.ndarray,
+    x_new: np.ndarray,
+    idx: np.ndarray,
+    x_left: np.ndarray,
+    x_right: np.ndarray,
+) -> np.ndarray:
+    """The sampler's body: each x_new in the knot interval ``idx``, whose
+    ends ``x_left`` and ``x_right`` the caller has gathered."""
     left = ys[idx]
     right = ys[idx + 1]
     t = (x_new - x_left) / (x_right - x_left)

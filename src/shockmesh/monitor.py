@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSolution, Mesh, _as_float_array, _trusted, piecewise_linear_sample
+from .grid import (
+    GridSolution,
+    Mesh,
+    _as_float_array,
+    _interval_index,
+    _sample_in_cells,
+    _trusted,
+)
 
 __all__ = [
     "EstimatorParams",
@@ -68,13 +75,13 @@ def discrete_curvature(solution: GridSolution) -> np.ndarray:
     if x.size < 3:
         raise ValueError("curvature needs at least three nodes")
     span = x[2:] - x[:-2]
-    slope_left = (u[1:-1] - u[:-2]) / (x[1:-1] - x[:-2])
-    slope_right = (u[2:] - u[1:-1]) / (x[2:] - x[1:-1])
+    # Each segment's slope serves as the right slope of one node and the
+    # left slope of the next.
+    slope = (u[1:] - u[:-1]) / (x[1:] - x[:-1])
+    lift = 1.0 + slope**2
     slope_chord = (u[2:] - u[:-2]) / span
-    denom = np.sqrt(
-        (1.0 + slope_left**2) * (1.0 + slope_right**2) * (1.0 + slope_chord**2)
-    )
-    interior = (2.0 / span) * np.abs(slope_left - slope_right) / denom
+    denom = np.sqrt(lift[:-1] * lift[1:] * (1.0 + slope_chord**2))
+    interior = (2.0 / span) * np.abs(slope[:-1] - slope[1:]) / denom
     scores = np.empty(u.size)
     scores[1:-1] = interior
     scores[0] = interior[0]
@@ -174,13 +181,24 @@ def equidistribute(monitor: MonitorTable, n: int) -> Mesh:
     yields that breakpoint's coordinate exactly. The mesh is built without
     the public checks: the extreme guard checks the corrected mesh.
     """
+    return _equidistribute_cells(monitor, n)[0]
+
+
+def _equidistribute_cells(monitor: MonitorTable, n: int) -> tuple[Mesh, np.ndarray]:
+    """:func:`equidistribute`, with the interval of the monitor's nodes that
+    holds each new node (a closed interval: a node may sit on either end)."""
     if n < 2:
         raise ValueError("need at least two nodes")
     cum = monitor.cumulative
     src = monitor.nodes
     levels = (float(cum[-1]) / (n - 1)) * np.arange(1, n - 1, dtype=np.float64)
+    idx = _interval_index(cum, levels)
     nodes = np.empty(n)
     nodes[0] = src[0]
     nodes[-1] = src[-1]
-    nodes[1:-1] = piecewise_linear_sample(cum, src, levels)
-    return _trusted(Mesh, nodes=nodes)
+    nodes[1:-1] = _sample_in_cells(src, levels, idx, cum[idx], cum[idx + 1])
+    cells = np.empty(n, dtype=np.intp)
+    cells[0] = 0
+    cells[1:-1] = idx
+    cells[-1] = src.size - 2
+    return _trusted(Mesh, nodes=nodes), cells

@@ -23,15 +23,16 @@ import numpy as np
 from .grid import (
     GridSolution,
     Mesh,
+    _sample_near,
     _trusted,
     detect_extremes,
     piecewise_linear_sample,
 )
 from .monitor import (
     EstimatorParams,
+    _equidistribute_cells,
     build_monitor,
     discrete_curvature,
-    equidistribute,
     regularize_curvature,
 )
 
@@ -209,6 +210,9 @@ def _walk(
     are sorted, with their scores, and if they are still not strictly
     increasing, a walked coordinate has landed on another node. The result
     is then ``None``, as it is at once when a walker reaches the move cap.
+    Only the territories a walker moved in are sorted: territories do not
+    overlap, and a walker stays in [x_{first-1}, x_{last+1}], so this is
+    bitwise the full sort.
 
     Returns the nodes after the walks, the scores in node order, the
     longest walk and the sum of the walk lengths; ``nodes`` itself when no
@@ -219,6 +223,7 @@ def _walk(
     walkers = []
     ends = []
     lengths = []
+    moved_in = {}
     for k, (first, last, start, stop) in enumerate(territories):
         knots = x_old[first - 1 : last + 2].tolist()
         top = len(knots) - 2
@@ -265,6 +270,7 @@ def _walk(
                 walkers.append(j)
                 ends.append(xj)
                 lengths.append(moves)
+                moved_in[start] = stop
             if leaves and xj >= knots[-1]:
                 continue
             xs.append(xj)
@@ -274,7 +280,8 @@ def _walk(
     x_new = nodes.copy()
     x_new[walkers] = ends
     if not (x_new[1:] > x_new[:-1]).all():
-        x_new.sort()
+        for start, stop in moved_in.items():
+            x_new[start:stop].sort()
         # Only a walked coordinate can land on another node.
         if not (x_new[1:] > x_new[:-1]).all():
             return None
@@ -389,10 +396,16 @@ def remesh_step(
 
     Pipeline: curvature scores -> regularization -> cumulative monitor ->
     equidistribution with the same node count -> extreme-guard enforcement
-    -> linear transfer of the solution onto the corrected mesh.
+    -> linear transfer of the solution onto the corrected mesh. The result
+    is bitwise that of :func:`equidistribute`, :func:`enforce_extreme_guard`
+    and :func:`interpolate_update` in turn, but the old interval that
+    equidistribution found for each node is the transfer's first guess, so
+    only the nodes the guard moved out of theirs are searched again.
     """
+    x_old = old.mesh.nodes
     scores = regularize_curvature(discrete_curvature(old), estimator)
     monitor = build_monitor(old.mesh, scores)
-    proposed = equidistribute(monitor, old.mesh.nodes.size)
+    proposed, cells = _equidistribute_cells(monitor, x_old.size)
     corrected, report = enforce_extreme_guard(old, proposed, guard)
-    return interpolate_update(old, corrected), report
+    values = _sample_near(x_old, old.values, corrected.nodes, cells)
+    return _trusted(GridSolution, mesh=corrected, values=values), report

@@ -200,12 +200,17 @@ def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
     after = np.asarray(after, dtype=np.float64)
     if before.shape != after.shape or before.ndim != 1 or before.size < 3:
         raise ValueError("need matching 1-D arrays with at least three entries")
-    change = np.abs(after[1:-1] - before[1:-1])
-    noise = np.spacing(np.maximum(np.abs(before[1:-1]), np.abs(after[1:-1])))
-    change = np.maximum(change - noise, 0.0)
     diff = np.abs(before[1:] - before[:-1])
     denom = np.maximum(diff[:-1], diff[1:])
-    keep = denom >= _DENOM_FLOOR
-    if not keep.any():
+    inner_before = before[1:-1]
+    inner_after = after[1:-1]
+    # A node the step left unchanged scores exactly 0, so only the changed
+    # nodes are scored.
+    scored = ((denom >= _DENOM_FLOOR) & (inner_after != inner_before)).nonzero()[0]
+    if not scored.size:
         return 0.0
-    return float((change[keep] / denom[keep]).max())
+    b = inner_before[scored]
+    a = inner_after[scored]
+    noise = np.spacing(np.maximum(np.abs(b), np.abs(a)))
+    change = np.maximum(np.abs(a - b) - noise, 0.0)
+    return float((change / denom[scored]).max())

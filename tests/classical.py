@@ -5,7 +5,9 @@ package: they are the forms the non-uniform schemes must reduce to when
 every cell has the same width h (interior nodes only; boundary values stay
 fixed). The scan references are plain loops that the package's front
 window and extreme guard (its scores, its walk, and the map it falls back
-on when the walk collapses two nodes) must match. The two front
+on when the walk collapses two nodes) must match, and so must the evolution
+ratio that scores only the nodes a step changed and the curvature that
+computes each segment slope once. The two front
 diagnostics, one pass each over the front window, are what the package's
 one-pass front measurement must match bitwise. The bound references are
 the step recurrence, binomial closed form and contribution sum as written
@@ -73,6 +75,36 @@ def front_window_two_pointer(values, fraction=0.9):
     if best is None:
         return None
     return best[0], best[1] + 1
+
+
+def evolution_ratio_every_node(before, after, denom_floor=1e-14):
+    """The evolution ratio with every kept interior node scored, the
+    unchanged ones too (each of those scores exactly 0)."""
+    before = np.asarray(before, dtype=np.float64)
+    after = np.asarray(after, dtype=np.float64)
+    change = np.abs(after[1:-1] - before[1:-1])
+    noise = np.spacing(np.maximum(np.abs(before[1:-1]), np.abs(after[1:-1])))
+    change = np.maximum(change - noise, 0.0)
+    diff = np.abs(before[1:] - before[:-1])
+    denom = np.maximum(diff[:-1], diff[1:])
+    keep = denom >= denom_floor
+    if not keep.any():
+        return 0.0
+    return float((change[keep] / denom[keep]).max())
+
+
+def discrete_curvature_per_node(x, u):
+    """Graph curvature at every node, with the left, right and chord slopes
+    of each interior node computed for that node alone."""
+    span = x[2:] - x[:-2]
+    slope_left = (u[1:-1] - u[:-2]) / (x[1:-1] - x[:-2])
+    slope_right = (u[2:] - u[1:-1]) / (x[2:] - x[1:-1])
+    slope_chord = (u[2:] - u[:-2]) / span
+    denom = np.sqrt(
+        (1.0 + slope_left**2) * (1.0 + slope_right**2) * (1.0 + slope_chord**2)
+    )
+    interior = (2.0 / span) * np.abs(slope_left - slope_right) / denom
+    return np.concatenate([interior[:1], interior, interior[-1:]])
 
 
 def measure_overshoot(values, reference_high, window):

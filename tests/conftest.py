@@ -33,15 +33,16 @@ def make_problem(name):
 def crowded_nodes(monkeypatch):
     """Make every reconstruction put nodes 5 and 6 on the two floats after
     node 4, where two cell interfaces can round together into a zero width."""
-    real_equidistribute = sm.remesh.equidistribute
+    real_equidistribute_cells = sm.remesh._equidistribute_cells
 
     def crowding(monitor, n):
-        nodes = real_equidistribute(monitor, n).nodes.copy()
+        mesh, cells = real_equidistribute_cells(monitor, n)
+        nodes = mesh.nodes.copy()
         nodes[5] = np.nextafter(nodes[4], np.inf)
         nodes[6] = np.nextafter(nodes[5], np.inf)
-        return sm.Mesh(nodes)
+        return sm.Mesh(nodes), cells
 
-    monkeypatch.setattr(sm.remesh, "equidistribute", crowding)
+    monkeypatch.setattr(sm.remesh, "_equidistribute_cells", crowding)
 
 
 @pytest.fixture(scope="session")

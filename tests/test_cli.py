@@ -15,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import classical
 import shockmesh.bounds as bounds
 import shockmesh.cli as cli
 import shockmesh.remesh as remesh
 from shockmesh import (
+    BoundParams,
     ExtremeBoundTable,
     GridSolution,
     Mesh,
@@ -365,14 +367,15 @@ def test_simulate_completes_the_benchmark_runs_where_the_walk_collapses(tmp_path
 def test_simulate_bad_reconstructed_mesh_exits_four_with_manifest(
     tmp_path, capsys, monkeypatch
 ):
-    real_equidistribute = remesh.equidistribute
+    real_equidistribute_cells = remesh._equidistribute_cells
 
     def duplicating(monitor, n):
-        nodes = real_equidistribute(monitor, n).nodes.copy()
+        mesh, cells = real_equidistribute_cells(monitor, n)
+        nodes = mesh.nodes.copy()
         nodes[5] = nodes[4]
-        return _trusted(Mesh, nodes=nodes)
+        return _trusted(Mesh, nodes=nodes), cells
 
-    monkeypatch.setattr(remesh, "equidistribute", duplicating)
+    monkeypatch.setattr(remesh, "_equidistribute_cells", duplicating)
     out = tmp_path / "out"
     assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 4
     assert "mesh reconstruction failed after step 0" in capsys.readouterr().err
@@ -551,6 +554,14 @@ def test_theory_writes_full_triangle(tmp_path):
     assert first[4] == first[0]  # partial sum of a single entry
     assert first[5] == pytest.approx(7.0 / 3.0, rel=1e-14)
     assert first[6] == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+    # the bound of step m and the share of a_m alive at step k, per entry
+    params = BoundParams(
+        clip_factor=0.1, growth_constant=1.0, variation_scale=1.0, increases=np.full(10, 1.0)
+    )
+    for (m, k), r in zip(pairs, rows):
+        assert float(r[4]) == bounds.uniform_extreme_bound(params, m)
+        assert float(r[5]) == classical.increase_contribution(params, m, k)
 
     # partial sums within a column are running and end at the column sum
     col10 = [r for r in rows if int(r[1]) == 10]

@@ -118,6 +118,25 @@ def test_front_window_matches_two_pointer_scan(values, sixty_fourths):
     assert front_window(values, fraction) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    values=_dyadic_profiles,
+    plateaus=st.tuples(st.integers(0, 400), st.integers(0, 400)),
+    sixty_fourths=st.integers(0, 72),
+)
+def test_front_window_matches_two_pointer_scan_between_long_plateaus(
+    values, plateaus, sixty_fourths
+):
+    # A front between two exact plateaus, as on an adaptive Burgers profile:
+    # the right ends on the zero-jump tail are never searched, and none of
+    # them may have won.
+    before, after = plateaus
+    values = np.concatenate([np.full(before, values[0]), values, np.full(after, values[-1])])
+    fraction = sixty_fourths / 64.0
+    expected = classical.front_window_two_pointer(values, fraction)
+    assert front_window(values, fraction) == expected
+
+
 @pytest.mark.parametrize("fraction", [0.0, 0.25, 0.5, 0.9, 1.0, 1.5])
 def test_front_window_matches_two_pointer_scan_on_fixed_cases(fraction):
     # constant data, zero jumps around a single step, runs of equal-length

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classical
 import shockmesh.monitor as monitor
 from shockmesh import (
     EstimatorParams,
@@ -33,6 +34,17 @@ def test_curvature_of_symmetric_peak():
     # slopes +-2 around the peak: 2/1 * |2-(-2)| / sqrt(5*5*1) = 1.6,
     # copied onto both endpoints
     assert scores == pytest.approx([1.6, 1.6, 1.6], rel=1e-15)
+
+
+def test_curvature_matches_the_per_node_slopes():
+    # Each segment slope is computed once and serves both of its nodes; the
+    # scores are bitwise those of three slopes per node.
+    rng = np.random.default_rng(5)
+    x = np.sort(rng.uniform(0.0, 1.0, 300))
+    u = np.repeat(rng.choice([0.0, 1.0, 0.25], 60), 5) + rng.normal(0.0, 0.01, 300)
+    expected = classical.discrete_curvature_per_node(x, u)
+    scores = discrete_curvature(GridSolution(Mesh(x), u))
+    assert scores.tobytes() == expected.tobytes()
 
 
 def test_curvature_zero_on_linear_data():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classical
+import shockmesh.driver as driver
 import shockmesh.grid as grid
 import shockmesh.remesh as remesh
 from shockmesh import (
@@ -16,11 +17,15 @@ from shockmesh import (
     GridSolution,
     Mesh,
     RemeshError,
+    build_monitor,
+    discrete_curvature,
     enforce_extreme_guard,
+    equidistribute,
     interpolate_update,
     interpolation_smoothing_residual,
     make_jump_initial,
     piecewise_linear_sample,
+    regularize_curvature,
     remesh_step,
     run_simulation,
     total_variation,
@@ -59,6 +64,59 @@ def test_sample_stays_in_segment_range(ys, queries):
     out = piecewise_linear_sample(xs, ys, np.asarray(queries))
     assert np.all(out >= ys.min() - 1e-15)
     assert np.all(out <= ys.max() + 1e-15)
+
+
+@st.composite
+def guessed_cells(draw):
+    """Knots, values, queries that often sit on a knot, and a guess of each
+    query's cell that is right, off by one or anything at all."""
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=15))
+    xs = np.concatenate([[0.0], np.cumsum(gaps)])
+    ys = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=xs.size, max_size=xs.size)))
+    pick = st.tuples(st.booleans(), st.integers(0, xs.size - 1), st.floats(0.0, 1.0))
+    picks = draw(st.lists(pick, min_size=1, max_size=25))
+    queries = np.array([xs[i] if on_knot else t * xs[-1] for on_knot, i, t in picks])
+    truth = grid._interval_index(xs, queries)
+
+    def per_query(strategy):
+        return np.array(draw(st.lists(strategy, min_size=truth.size, max_size=truth.size)))
+
+    how = draw(st.sampled_from(["right", "off_by_one", "random"]))
+    if how == "right":
+        cells = truth
+    elif how == "off_by_one":
+        cells = np.clip(truth + per_query(st.sampled_from([-1, 1])), 0, xs.size - 2)
+    else:
+        cells = per_query(st.integers(0, xs.size - 2))
+    return xs, ys, queries, cells.astype(np.intp)
+
+
+@given(guessed_cells())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sample_from_guessed_cells_is_bitwise_the_full_search(case):
+    xs, ys, queries, cells = case
+    given_cells = cells.copy()
+    out = grid._sample_near(xs, ys, queries, cells)
+    assert out.tobytes() == piecewise_linear_sample(xs, ys, queries).tobytes()
+    assert np.array_equal(cells, given_cells)
+
+
+def test_sample_from_guessed_cells_searches_only_the_misses(monkeypatch):
+    # Node 2 sits on the knot shared by its guessed cell and the next one,
+    # node 3 outside its guess: only node 3 is looked up.
+    looked_up = []
+    real = grid._interval_index
+
+    def recording(knots, x):
+        looked_up.append(x.tolist())
+        return real(knots, x)
+
+    monkeypatch.setattr(grid, "_interval_index", recording)
+    xs = np.array([0.0, 0.25, 0.5, 1.0])
+    queries = np.array([0.0, 0.1, 0.5, 0.75, 1.0])
+    out = grid._sample_near(xs, xs**2, queries, np.array([0, 0, 1, 0, 2]))
+    assert looked_up == [[0.75]]
+    assert out.tobytes() == piecewise_linear_sample(xs, xs**2, queries).tobytes()
 
 
 def extreme_mask(old):
@@ -658,3 +716,40 @@ def test_remesh_step_monotone_ramp_preserves_tv():
     assert total_variation(out.values) == pytest.approx(
         total_variation(sol.values), abs=1e-12
     )
+
+
+def test_remesh_step_is_the_public_composition_on_a_replayed_run(monkeypatch):
+    # Richtmyer on Burgers at N = 100, CFL 0.3 with the jump at this x0: the
+    # walk would collapse two nodes in the guard call after step 49, so that
+    # call maps the proposal. Every rebuild of the run must be bitwise the
+    # public steps in turn, which search every node's cell afresh.
+    run_settings = parse_config(
+        "problem = burgers\nscheme = richtmyer\nn = 100\ncfl = 0.3\n"
+        "t_final = 0.02\nx0 = 0.49345368022869700\n"
+    )
+    rebuilds = []
+    maps = []
+    real_mapped = remesh._mapped
+
+    def counted_map(*args):
+        maps.append(len(rebuilds))
+        return real_mapped(*args)
+
+    def compared(old, estimator, guard):
+        out, report = remesh_step(old, estimator, guard)
+        scores = regularize_curvature(discrete_curvature(old), estimator)
+        proposed = equidistribute(build_monitor(old.mesh, scores), len(old))
+        corrected, expected_report = enforce_extreme_guard(old, proposed, guard)
+        expected = interpolate_update(old, corrected)
+        assert out.mesh.nodes.tobytes() == expected.mesh.nodes.tobytes()
+        assert out.values.tobytes() == expected.values.tobytes()
+        assert report == expected_report
+        rebuilds.append(report)
+        return out, report
+
+    monkeypatch.setattr(remesh, "_mapped", counted_map)
+    monkeypatch.setattr(driver, "remesh_step", compared)
+    result = run_simulation(build_run_config(run_settings))
+    assert len(rebuilds) == result.steps > 50
+    # the step's rebuild and the public steps each map once
+    assert maps == [49, 49]

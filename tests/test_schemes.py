@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classical
 from shockmesh import (
@@ -217,6 +219,39 @@ def test_evolution_ratio_hand_example():
 
 def test_evolution_ratio_flat_before_is_zero():
     assert evolution_ratio(np.zeros(5), np.zeros(5)) == 0.0
+
+
+@st.composite
+def stepped_pairs(draw):
+    """A profile with plateaus and a step that changes some of its nodes,
+    by anything from one ulp to a large jump, or to a non-finite value."""
+    level = st.sampled_from([0.0, -0.0, 1.0, 0.5, 3e-15, -2.0])
+    levels = draw(st.lists(level, min_size=1, max_size=12))
+    repeats = draw(st.lists(st.integers(1, 6), min_size=len(levels), max_size=len(levels)))
+    before = np.repeat(np.array(levels), repeats)
+    if before.size < 3:
+        before = np.concatenate([before, [0.0, 0.0, 0.0]])
+    after = before.copy()
+    for j in draw(st.lists(st.integers(0, before.size - 1), max_size=before.size)):
+        how = draw(st.sampled_from(["ulp", "value", "sign", "nonfinite"]))
+        if how == "ulp":
+            after[j] = np.nextafter(after[j], np.inf)
+        elif how == "value":
+            after[j] = draw(st.floats(-4.0, 4.0))
+        elif how == "sign":
+            after[j] = -after[j]
+        else:
+            after[j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return before, after
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(stepped_pairs())
+def test_evolution_ratio_matches_scoring_every_node(pair):
+    before, after = pair
+    expected = classical.evolution_ratio_every_node(before, after)
+    ratio = evolution_ratio(before, after)
+    assert np.array(ratio).tobytes() == np.array(expected).tobytes()
 
 
 def test_evolution_ratio_within_constant_on_short_run():
