@@ -15,8 +15,10 @@ once on each side, alternating which side runs first, and then each side
 runs one ``--seconds 0 --trace 1`` pass for the per-layer metrics. The
 output file has the layout of ``BENCH_8.json``: per end-to-end metric the
 median, quartiles and runs of each side, the number of pairs in which the
-change is better and the ties; per layer one value of each side; and the
-host. Only the standard library is used.
+change is better and the ties; per layer one value of each side; the
+host; and the provenance of both sides: REV's full commit SHA, and the
+checkout's ``HEAD`` SHA with whether its tracked files differ from it. Only
+the standard library is used.
 """
 
 from __future__ import annotations
@@ -34,6 +36,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 0
+
+
+def git(repo: Path, *args: str) -> str:
+    """The stripped standard output of one git command run in ``repo``."""
+    done = subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def commit_sha(repo: Path, rev: str) -> str:
+    """The full SHA of the commit that ``rev`` names in ``repo``."""
+    return git(repo, "rev-parse", "--verify", f"{rev}^{{commit}}")
+
+
+def working_tree(repo: Path) -> dict:
+    """The ``HEAD`` SHA of ``repo`` and whether its tracked files differ from it."""
+    changed = git(repo, "status", "--porcelain", "--untracked-files=no")
+    return {"head": commit_sha(repo, "HEAD"), "dirty": bool(changed)}
 
 
 def export_revision(rev: str, dest: Path) -> None:
@@ -97,6 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, to give quartiles")
 
+    parent_sha = commit_sha(ROOT, args.rev)
+    change = working_tree(ROOT)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -104,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     per_layer = {}
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
-        export_revision(args.rev, base)
+        export_revision(parent_sha, base)
         sides = {"parent": base, "change": ROOT}
         for workload in workloads:
             runs = {"parent": [], "change": []}
@@ -145,12 +166,15 @@ def main(argv: list[str] | None = None) -> int:
 
     report = {
         "summary": (
-            f"perfbench of {args.rev} (parent) against the working tree (change). "
+            f"perfbench of {args.rev} ({parent_sha}, parent) against the "
+            "working tree (change). "
             f"End to end: `python3 perfbench/run.py --workload W --seed {SEED} "
             f"--seconds {args.seconds:g} --trace 0`, {args.pairs} pairs per workload "
             "alternating which side runs first, each side in its own checkout. "
             f"Per layer: `--seed {SEED} --seconds 0 --trace 1`, one run per side."
         ),
+        "parent": {"rev": args.rev, "sha": parent_sha},
+        "change": change,
         "host": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),

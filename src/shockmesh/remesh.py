@@ -41,7 +41,6 @@ __all__ = [
     "ExtremeGuardParams",
     "ExtremeGuardReport",
     "enforce_extreme_guard",
-    "interpolate_update",
     "interpolation_smoothing_residual",
     "remesh_step",
 ]
@@ -332,22 +331,6 @@ def _checked_mesh(nodes: np.ndarray) -> Mesh:
     return _trusted(Mesh, nodes=nodes)
 
 
-def interpolate_update(old: GridSolution, new_mesh: Mesh) -> GridSolution:
-    """Transfer the solution to a new mesh by linear interpolation.
-
-    Both meshes must span the same closed interval. Values at coinciding
-    nodes are preserved bitwise and each transferred value stays within the
-    range of its source segment, so the transfer never raises the maximum,
-    lowers the minimum, or increases total variation.
-    """
-    new_nodes = new_mesh.nodes
-    old_nodes = old.mesh.nodes
-    if new_nodes[0] != old_nodes[0] or new_nodes[-1] != old_nodes[-1]:
-        raise ValueError("new mesh must span the same interval as the old mesh")
-    values = piecewise_linear_sample(old_nodes, old.values, new_nodes)
-    return _trusted(GridSolution, mesh=new_mesh, values=values)
-
-
 def interpolation_smoothing_residual(
     old: GridSolution, i: int, new_left: float, new_right: float
 ) -> tuple[float, float, float]:
@@ -392,15 +375,20 @@ def remesh_step(
     estimator: EstimatorParams,
     guard: ExtremeGuardParams,
 ) -> tuple[GridSolution, ExtremeGuardReport]:
-    """One full mesh reconstruction plus solution transfer.
+    """One full mesh reconstruction plus the package's one solution transfer.
 
     Pipeline: curvature scores -> regularization -> cumulative monitor ->
     equidistribution with the same node count -> extreme-guard enforcement
     -> linear transfer of the solution onto the corrected mesh. The result
     is bitwise that of :func:`equidistribute`, :func:`enforce_extreme_guard`
-    and :func:`interpolate_update` in turn, but the old interval that
+    and :func:`piecewise_linear_sample` in turn, but the old interval that
     equidistribution found for each node is the transfer's first guess, so
     only the nodes the guard moved out of theirs are searched again.
+
+    The transfer keeps both end nodes and their values bitwise, and the
+    value of every new node that coincides with an old one; every other
+    value stays within the range of its old segment. So it never raises the
+    maximum, lowers the minimum or increases the total variation.
     """
     x_old = old.mesh.nodes
     scores = regularize_curvature(discrete_curvature(old), estimator)

@@ -1,6 +1,8 @@
-"""scripts/bench_pairs.py: a failed benchmark run is reported, not lost."""
+"""scripts/bench_pairs.py: a failed benchmark run is reported, not lost, and
+the output names the commits it compared."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,21 @@ def test_failed_run_names_workload_side_code_and_stderr(tmp_path, bench_pairs, b
 def test_successful_run_returns_its_last_line(tmp_path, bench_pairs):
     checkout = fake_checkout(tmp_path, "print('progress')\nprint('{\"failed\": 0}')\n")
     assert bench_pairs.run_workload(checkout, "change", "grid", 0, 1) == {"failed": 0}
+
+
+def test_provenance_names_the_commit_and_a_tracked_edit(tmp_path, bench_pairs):
+    def git(*args):
+        subprocess.run(["git", *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("-c", "user.name=bench", "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false",
+        "commit", "-q", "-m", "one")
+    sha = bench_pairs.git(tmp_path, "log", "-1", "--format=%H")
+    assert len(sha) == 40
+    assert bench_pairs.commit_sha(tmp_path, "HEAD") == sha
+    (tmp_path / "untracked.txt").write_text("ignored\n")
+    assert bench_pairs.working_tree(tmp_path) == {"head": sha, "dirty": False}
+    (tmp_path / "tracked.txt").write_text("two\n")
+    assert bench_pairs.working_tree(tmp_path) == {"head": sha, "dirty": True}

@@ -3,12 +3,15 @@
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 import shockmesh
 from shockmesh import bounds, cli, driver, grid, monitor, remesh, schemes
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PUBLIC_NAMES = [
     "BlowUpError",
@@ -40,7 +43,6 @@ PUBLIC_NAMES = [
     "extreme_bound_closed_form",
     "extreme_bound_table",
     "front_window",
-    "interpolate_update",
     "interpolation_smoothing_residual",
     "make_jump_initial",
     "measure_front",
@@ -68,9 +70,20 @@ def test_package_exports_the_union_of_the_layer_lists():
 
 
 def test_readme_states_the_export_count():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    counts = re.findall(r"\((\d+)\s+names\)", readme.read_text(encoding="utf-8"))
+    counts = re.findall(r"\((\d+)\s+names\)", README.read_text(encoding="utf-8"))
     assert counts == [str(len(shockmesh.__all__))]
+
+
+def test_readme_python_examples_run_without_warnings():
+    # nothing else runs the README's library examples, so a removed or
+    # renamed name would otherwise go unnoticed there
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(block, str(README), "exec"), {})
 
 
 def test_every_exported_name_resolves():

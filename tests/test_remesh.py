@@ -21,7 +21,6 @@ from shockmesh import (
     discrete_curvature,
     enforce_extreme_guard,
     equidistribute,
-    interpolate_update,
     interpolation_smoothing_residual,
     make_jump_initial,
     piecewise_linear_sample,
@@ -603,36 +602,17 @@ def test_guard_params_validation(growth_constant):
         ExtremeGuardParams(growth_constant=growth_constant)
 
 
-def test_interpolate_update_same_mesh_is_identity():
-    old = peaked_solution()
-    out = interpolate_update(old, old.mesh)
-    assert np.array_equal(out.values, old.values)
-
-
-def test_interpolate_update_midpoint():
-    mesh = Mesh(np.array([0.0, 1.0]))
-    old = GridSolution(mesh, np.array([2.0, 6.0]))
-    out = interpolate_update(old, Mesh(np.array([0.0, 0.5, 1.0])))
-    assert out.values.tolist() == [2.0, 4.0, 6.0]
-
-
-def test_interpolate_update_requires_same_span():
-    old = peaked_solution()
-    with pytest.raises(ValueError):
-        interpolate_update(old, Mesh(np.array([-1.0, 0.5, 1.5])))
-
-
 @given(
     st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=15),
     st.lists(st.floats(0.05, 0.95), min_size=1, max_size=25),
 )
 @settings(max_examples=80, deadline=None)
-def test_interpolate_update_never_increases_tv(values, interior):
-    mesh = Mesh.uniform(len(values))
-    old = GridSolution(mesh, np.asarray(values))
+def test_sample_never_increases_tv(values, interior):
+    xs = np.linspace(0.0, 1.0, len(values))
+    ys = np.asarray(values)
     nodes = np.unique(np.concatenate(([0.0], interior, [1.0])))
-    new = interpolate_update(old, Mesh(nodes))
-    assert total_variation(new.values) <= total_variation(old.values) + 1e-12
+    out = piecewise_linear_sample(xs, ys, nodes)
+    assert total_variation(out) <= total_variation(ys) + 1e-12
 
 
 def test_smoothing_identity_symmetric_peak():
@@ -718,6 +698,44 @@ def test_remesh_step_monotone_ramp_preserves_tv():
     )
 
 
+@st.composite
+def rebuilt_solutions(draw):
+    """A random mesh with random, jump-plus-spike or coarsely rounded values."""
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=40))
+    nodes = np.concatenate([[0.0], np.cumsum(gaps)])
+    n = nodes.size
+    kind = draw(st.sampled_from(["random", "jump_spike", "rounded"]))
+    if kind == "jump_spike":
+        values = np.where(np.arange(n) < draw(st.integers(1, n - 1)), 1.0, 0.0)
+        values[draw(st.integers(0, n - 1))] += draw(st.floats(-2.0, 2.0))
+    else:
+        values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+        if kind == "rounded":
+            values = values.round(0)
+    return GridSolution(Mesh(nodes), values)
+
+
+@given(rebuilt_solutions(), st.sampled_from([0.0, 0.3, 1.0, 1.75, 5.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_remesh_step_transfer_keeps_ends_range_and_variation(old, growth_constant):
+    # The guarantees the bound chain rests on, on the transfer runs take:
+    # a search that missed a node's cell and extrapolated would break them.
+    out, _report = remesh_step(
+        old, EstimatorParams(), ExtremeGuardParams(growth_constant=growth_constant)
+    )
+    x_old, u_old = old.mesh.nodes, old.values
+    x_new, u_new = out.mesh.nodes, out.values
+    ends = [0, -1]
+    assert x_new[ends].tobytes() == x_old[ends].tobytes()
+    assert u_new[ends].tobytes() == u_old[ends].tobytes()
+    assert u_new.max() <= u_old.max()
+    assert u_new.min() >= u_old.min()
+    assert total_variation(u_new) <= total_variation(u_old) + 1e-12
+    coincide = np.isin(x_new, x_old)
+    at = x_old.searchsorted(x_new[coincide])
+    assert u_new[coincide].tobytes() == u_old[at].tobytes()
+
+
 def test_remesh_step_is_the_public_composition_on_a_replayed_run(monkeypatch):
     # Richtmyer on Burgers at N = 100, CFL 0.3 with the jump at this x0: the
     # walk would collapse two nodes in the guard call after step 49, so that
@@ -740,7 +758,9 @@ def test_remesh_step_is_the_public_composition_on_a_replayed_run(monkeypatch):
         scores = regularize_curvature(discrete_curvature(old), estimator)
         proposed = equidistribute(build_monitor(old.mesh, scores), len(old))
         corrected, expected_report = enforce_extreme_guard(old, proposed, guard)
-        expected = interpolate_update(old, corrected)
+        expected = GridSolution(
+            corrected, piecewise_linear_sample(old.mesh.nodes, old.values, corrected.nodes)
+        )
         assert out.mesh.nodes.tobytes() == expected.mesh.nodes.tobytes()
         assert out.values.tobytes() == expected.values.tobytes()
         assert report == expected_report
