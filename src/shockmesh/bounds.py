@@ -131,13 +131,12 @@ def extreme_bound_table(params: BoundParams, last_step: int) -> ExtremeBoundTabl
     grow = 1.0 + 2.0 * c
     increases = params.increases.tolist() + [0.0] * last_step  # zero past the end
     table = np.zeros((last_step + 1, last_step + 1))
-    # column[m] is entry m of the previous column; entry k of it is zero.
-    column = [0.0] * (last_step + 1)
-    for k in range(1, last_step + 1):
-        column[1 : k + 1] = [lam * (grow * column[1] + increases[k - 1])] + [
-            lam * (grow * column[m] + c * column[m - 1]) for m in range(2, k + 1)
-        ]
-        table[1 : k + 1, k] = column[1 : k + 1]
+    # A magnitude past float64 turns inf or nan, which the table rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, last_step + 1):
+            previous = table[:, k - 1]  # its entry k is zero
+            table[1, k] = lam * (grow * previous[1] + increases[k - 1])
+            table[2 : k + 1, k] = lam * (grow * previous[2 : k + 1] + c * previous[1:k])
     return ExtremeBoundTable(table, last_step)
 
 
@@ -184,14 +183,9 @@ def _closed_form_table(params: BoundParams, last_step: int) -> np.ndarray:
     j handles every m at once with the scalar's float operations in the
     scalar's order: the running total of (m, k), kept at ``totals[m - 1,
     k - m]``, gains the age-j term whenever k - m >= j. A row whose scale
-    ``lam**m * c**(m - 1)`` leaves float64 is inf instead of raising.
+    ``lam**m * c**(m - 1)`` leaves float64 is inf instead of raising. The
+    caller ensures 1 <= last_step <= ``_MAX_BINOMIAL_STEP``.
     """
-    if last_step < 1:
-        raise ValueError("last_step must be at least 1")
-    if last_step > _MAX_BINOMIAL_STEP:
-        raise ValueError(
-            f"closed form supported only up to step {_MAX_BINOMIAL_STEP}"
-        )
     n = last_step
     lam = params.clip_factor
     c = params.growth_constant

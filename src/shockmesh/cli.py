@@ -12,11 +12,11 @@ that snapshots.csv keeps. Exit codes: 0 success, 2 unusable configuration,
 parameters or paths (a config file that cannot be read or is not valid text,
 an output directory that cannot be created, or a table path that cannot be
 written; nothing is created or written) or simulate outputs or a spill that
-cannot be written (every file the run wrote is removed again), 3 runtime
-blow-up (partial outputs are kept), 4 a failed mesh reconstruction (manifest
-only) or a bound table that failed its self-check (no file). All numbers are
-serialized with 17 significant digits, so the CSV outputs of identical
-configurations are byte-identical.
+cannot be written (every file and directory the run created is removed
+again), 3 runtime blow-up (partial outputs are kept), 4 a failed mesh
+reconstruction (manifest only) or a bound table that failed its self-check
+(no file). All numbers are serialized with 17 significant digits, so the
+CSV outputs of identical configurations are byte-identical.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ _KEYS = {
     "cfl": (float, _REQUIRED),
     "t_final": (float, _REQUIRED),
     "adaptive": (bool, RunConfig.adaptive),
-    "epsilon": (float, EstimatorParams.floor),
     "pw": (float, EstimatorParams.power),
     "x0": (float, RunConfig.jump_position),
 }
@@ -137,9 +136,6 @@ def build_run_config(settings: dict) -> RunConfig:
     scheme = SchemeKind(settings["scheme"])
     problem: Problem = _PROBLEMS[settings["problem"]]()
     try:
-        estimator = EstimatorParams(
-            floor=settings["epsilon"], power=settings["pw"]
-        )
         return RunConfig(
             problem=problem,
             scheme=scheme,
@@ -147,7 +143,7 @@ def build_run_config(settings: dict) -> RunConfig:
             cfl_target=settings["cfl"],
             final_time=settings["t_final"],
             adaptive=settings["adaptive"],
-            estimator=estimator,
+            estimator=EstimatorParams(power=settings["pw"]),
             jump_position=settings["x0"],
         )
     except ValueError as exc:
@@ -179,6 +175,14 @@ def _write_outputs(out: Path, outputs: dict[str, Iterable[str] | None]) -> None:
         raise
 
 
+def _make_dirs(path: Path, created: list[Path]) -> None:
+    """``mkdir -p path``; each directory it creates goes first in ``created``."""
+    if not path.is_dir():
+        _make_dirs(path.parent, created)
+        path.mkdir()
+        created.insert(0, path)
+
+
 def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list[str]:
     lines = ["step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"]
     # One %-format per row: '%.17g' % x is the text of _fmt(x).
@@ -206,12 +210,9 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         return 2
 
     out = Path(outdir)
+    created: list[Path] = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 2
-    try:
+        _make_dirs(out, created)
         # A 64 KiB write buffer: one write call per about 2.5 steps of an
         # adaptive run at N = 1600, instead of two per step. A larger one
         # comes from the heap once glibc has raised its mmap threshold past
@@ -220,6 +221,8 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         with tempfile.TemporaryFile(dir=out, buffering=1 << 16) as spill:
             manifest = _simulate_into(out, spill, config, settings)
     except OSError as exc:
+        for path in created:
+            path.rmdir()
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
     if manifest["status"] == "remesh_error":
@@ -359,10 +362,13 @@ def cmd_theory(
         print(f"error: bound table failed its self-check: {exc}", file=sys.stderr)
         return 4
     out = Path(out_path)
+    created: list[Path] = []
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
+        _make_dirs(out.parent, created)
         _write_outputs(out.parent, {out.name: ["\n".join(lines)]})
     except OSError as exc:
+        for path in created:
+            path.rmdir()
         print(f"error: cannot write bound table: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -243,9 +243,8 @@ def run_simulation(
             raise BlowUpError(step, records)
 
         ratio = evolution_ratio(current.values, advanced.values)
+        # choose_dt caps dt at remaining, so this reaches 0 exactly, never below.
         remaining -= dt
-        if remaining < 0.0:
-            remaining = 0.0
         elapsed = config.final_time - remaining
         tv = total_variation(advanced.values)
         records.append(

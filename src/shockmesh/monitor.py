@@ -41,23 +41,22 @@ _MASS_FLOOR = 1e-9
 # step, then collapse geometrically and the integration stalls at a fixed
 # time.
 _RELATIVE_FLOOR = 0.02
+# Keeps the monitor positive on flat data; where the largest score reaches
+# _ABSOLUTE_FLOOR / _RELATIVE_FLOOR (5e-14), the relative floor lifts higher.
+_ABSOLUTE_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Regularization knobs for the curvature scores.
+    """Regularization knob for the curvature scores.
 
-    ``floor`` keeps the monitor strictly positive on flat data; ``power``
-    (in (0, 1]) flattens the score distribution, trading cluster sharpness
-    for coverage.
+    ``power`` (in (0, 1]) flattens the score distribution, trading cluster
+    sharpness for coverage.
     """
 
-    floor: float = 1e-15
     power: float = 0.9
 
     def __post_init__(self):
-        if not (np.isfinite(self.floor) and self.floor > 0.0):
-            raise ValueError("floor must be a positive finite number")
         if not (np.isfinite(self.power) and 0.0 < self.power <= 1.0):
             raise ValueError("power must lie in (0, 1]")
 
@@ -90,15 +89,15 @@ def discrete_curvature(solution: GridSolution) -> np.ndarray:
 
 
 def regularize_curvature(scores: np.ndarray, params: EstimatorParams) -> np.ndarray:
-    """Apply the positivity floor, then the flattening power, in that order.
+    """Apply the positivity floors, then the flattening power, in that order.
 
     The relative floor ``_RELATIVE_FLOOR`` (fraction of the peak score) is
-    applied together with the absolute one, before the power, so uniform
-    score vectors stay uniform and the flattening acts on the already-capped
-    contrast.
+    applied after the absolute one ``_ABSOLUTE_FLOOR``, before the power, so
+    uniform score vectors stay uniform and the flattening acts on the
+    already-capped contrast.
     """
     arr = _as_float_array(scores, "scores")
-    arr = np.maximum(arr, params.floor)
+    arr = np.maximum(arr, _ABSOLUTE_FLOOR)
     arr = np.maximum(arr, _RELATIVE_FLOOR * arr.max(initial=0.0))
     return arr ** params.power
 

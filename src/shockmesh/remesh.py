@@ -205,13 +205,13 @@ def _walk(
     would leave that node. Two nodes that meet stay together from then on,
     and a walker that lands on a resting node is compliant there and stops,
     so the end points show every collapse that a check after each round
-    would find. One check at the end is therefore exact: nodes out of order
-    are sorted, with their scores, and if they are still not strictly
+    would find. One check at the end is therefore exact: the nodes are
+    sorted, with their scores, and if they are then not strictly
     increasing, a walked coordinate has landed on another node. The result
     is then ``None``, as it is at once when a walker reaches the move cap.
     Only the territories a walker moved in are sorted: territories do not
     overlap, and a walker stays in [x_{first-1}, x_{last+1}], so this is
-    bitwise the full sort.
+    bitwise the full sort, and it leaves nodes already in order as they are.
 
     Returns the nodes after the walks, the scores in node order, the
     longest walk and the sum of the walk lengths; ``nodes`` itself when no
@@ -278,13 +278,12 @@ def _walk(
         return nodes, scores, 0, 0
     x_new = nodes.copy()
     x_new[walkers] = ends
+    for start, stop in moved_in.items():
+        x_new[start:stop].sort()
+    # Only a walked coordinate can land on another node.
     if not (x_new[1:] > x_new[:-1]).all():
-        for start, stop in moved_in.items():
-            x_new[start:stop].sort()
-        # Only a walked coordinate can land on another node.
-        if not (x_new[1:] > x_new[:-1]).all():
-            return None
-        scores = [score for _x, score in sorted(zip(xs, scores))]
+        return None
+    scores = [score for _x, score in sorted(zip(xs, scores))]
     return x_new, scores, max(lengths), sum(lengths)
 
 

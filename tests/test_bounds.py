@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import classical
 from shockmesh import (
     BoundParams,
+    ExtremeBoundTable,
     extreme_bound_closed_form,
     extreme_bound_table,
     total_increase_contribution,
@@ -238,7 +239,7 @@ def test_closed_form_table_is_the_scalar_bitwise(
                 assert table[m, k] == 0.0
 
 
-def test_closed_form_table_marks_a_scale_past_float64_and_rejects_deep_tables():
+def test_closed_form_table_marks_a_scale_past_float64():
     # c ** (m - 1) passes float64 from m = 60 on: that row is inf, the rows
     # above it are the scalar's.
     p = params(lam=1e-7, growth=2e5, increases=np.full(60, 2e5))
@@ -247,10 +248,47 @@ def test_closed_form_table_marks_a_scale_past_float64_and_rejects_deep_tables():
     table = _closed_form_table(p, 60)
     assert table[60, 60] == math.inf
     assert table[59, 60] == extreme_bound_closed_form(p, 59, 60)
-    with pytest.raises(ValueError):
-        _closed_form_table(params(), 61)
-    with pytest.raises(ValueError):
-        _closed_form_table(params(), 0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ExtremeBoundTable(np.zeros((2, 3)), 1), "shape"),
+        (lambda: extreme_bound_table(params(), 3).value(1, 0), "1 <= k <= last_step"),
+        (lambda: extreme_bound_table(params(), 3).value(1, 4), "1 <= k <= last_step"),
+        (lambda: extreme_bound_table(params(), 3).value(0, 2), "m >= 1"),
+        (lambda: extreme_bound_table(params(), 3).column_sum(0), "1 <= k <= last_step"),
+        (lambda: extreme_bound_table(params(), 3).column_sum(4), "1 <= k <= last_step"),
+        (lambda: extreme_bound_table(params(), 0), "last_step must be at least 1"),
+        (lambda: extreme_bound_closed_form(params(), 0, 1), "m >= 1 and k >= 1"),
+        (lambda: extreme_bound_closed_form(params(), 1, 0), "m >= 1 and k >= 1"),
+        (lambda: uniform_extreme_bound(params(), 0), "m must be at least 1"),
+        (lambda: total_increase_contribution(params(), 0), "k must be at least 1"),
+    ],
+    ids=[
+        "table_shape",
+        "value_k_0",
+        "value_k_past_last_step",
+        "value_m_0",
+        "column_sum_k_0",
+        "column_sum_k_past_last_step",
+        "table_last_step_0",
+        "closed_form_m_0",
+        "closed_form_k_0",
+        "uniform_bound_m_0",
+        "contribution_k_0",
+    ],
+)
+def test_public_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_an_extreme_younger_than_its_step_count_is_zero():
+    # Extreme m appears at step m, so before that it bounds nothing.
+    p = params()
+    assert extreme_bound_closed_form(p, 3, 2) == 0.0
+    assert extreme_bound_table(p, 3).value(3, 2) == 0.0
 
 
 @settings(max_examples=80, deadline=None)

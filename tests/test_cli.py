@@ -76,7 +76,6 @@ def test_parse_config_defaults_and_comments():
     assert settings["cfl"] == 0.5
     assert settings["t_final"] == 0.02
     assert settings["adaptive"] is True
-    assert settings["epsilon"] == 1e-15
     assert settings["pw"] == 0.9
     assert settings["x0"] == 0.5
 
@@ -88,6 +87,7 @@ def test_parse_config_defaults_and_comments():
         BASE_CONFIG + "mystery = 1\n",  # unknown key
         BASE_CONFIG + "remesh_reps = 2\n",  # removed key: one rebuild per step
         BASE_CONFIG + "eps_corr = 0.2\n",  # removed key: the walk's step is fixed
+        BASE_CONFIG + "epsilon = 1e-15\n",  # removed key: the absolute floor is fixed
         BASE_CONFIG + "just a line\n",  # not key=value
         BASE_CONFIG.replace("n = 40", "n = forty"),
         BASE_CONFIG.replace("cfl = 0.5", "cfl = fast"),
@@ -105,7 +105,7 @@ def test_parse_config_rejections(bad):
 def test_build_run_config_maps_every_knob():
     settings = parse_config(
         BASE_CONFIG
-        + "epsilon = 1e-12\npw = 0.8\nx0 = 0.4\n"
+        + "pw = 0.8\nx0 = 0.4\n"
         + "adaptive = false\n"
     )
     cfg = build_run_config(settings)
@@ -114,10 +114,14 @@ def test_build_run_config_maps_every_knob():
     assert cfg.cfl_target == 0.5
     assert cfg.final_time == 0.02
     assert cfg.adaptive is False
-    assert cfg.estimator.floor == 1e-12
     assert cfg.estimator.power == 0.8
     assert cfg.growth_constant == evolution_constant(SchemeKind.RICHTMYER, 0.5)
     assert cfg.jump_position == 0.4
+
+
+@pytest.mark.parametrize("word", ["true", "1", "yes", "on"])
+def test_parse_config_reads_every_true_word(word):
+    assert parse_config(BASE_CONFIG + f"adaptive = {word}\n")["adaptive"] is True
 
 
 def test_build_run_config_wraps_validation_errors():
@@ -162,7 +166,11 @@ def test_simulate_writes_outputs_and_exits_zero(tmp_path):
     assert np.array_equal(xs, np.linspace(0.0, 1.0, 40))
 
 
-@pytest.mark.parametrize("line", ["mystery = 1", "eps_corr = 0.3"], ids=["unknown", "removed"])
+@pytest.mark.parametrize(
+    "line",
+    ["mystery = 1", "eps_corr = 0.3", "epsilon = 1e-15"],
+    ids=["unknown", "removed", "removed_floor"],
+)
 def test_simulate_parse_error_exits_two_without_outputs(tmp_path, capsys, line):
     cfg = write_config(tmp_path, BASE_CONFIG + line + "\n")
     out = tmp_path / "never"
@@ -195,6 +203,10 @@ def test_simulate_missing_config_exits_two(tmp_path, capsys):
         ["simulate", "binary.cfg", "out"],
         [*THEORY_ARGV, "adir"],
         [*THEORY_ARGV, "afile/bounds.csv"],
+        # A file name longer than any file system takes: the directories
+        # above it are made first, and must go again.
+        ["simulate", "run.cfg", "T/o/" + "y" * 300],
+        [*THEORY_ARGV, "T/a/b/" + "x" * 300 + ".csv"],
     ],
     ids=[
         "outdir_is_a_file",
@@ -202,6 +214,8 @@ def test_simulate_missing_config_exits_two(tmp_path, capsys):
         "config_not_utf8",
         "table_path_is_a_directory",
         "table_path_under_a_file",
+        "outdir_name_too_long",
+        "table_name_too_long",
     ],
 )
 def test_unusable_paths_exit_two_and_create_nothing(tmp_path, capsys, monkeypatch, argv):
@@ -518,7 +532,8 @@ def test_simulate_failed_spill_exits_two_and_leaves_no_file(tmp_path, capsys, mo
     assert main(["simulate", str(write_config(tmp_path)), str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    # The run made the output directory, so it removes that too.
+    assert not out.exists()
 
 
 def test_simulate_is_deterministic(tmp_path):

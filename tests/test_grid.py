@@ -32,6 +32,20 @@ def test_mesh_rejects_bad_nodes():
         Mesh(np.array([0.0, 0.6, 0.4, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Mesh(np.zeros((2, 2))), "1-D array"),
+        (lambda: Mesh.uniform(1), "n must be at least 2"),
+        (lambda: CellGeometry(np.array([0.5])), "at least two interfaces"),
+    ],
+    ids=["mesh_2d", "uniform_one_node", "cell_geometry_one_interface"],
+)
+def test_public_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_grid_solution_length_mismatch():
     mesh = Mesh.uniform(5)
     with pytest.raises(ValueError):

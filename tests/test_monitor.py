@@ -21,8 +21,6 @@ from shockmesh import (
 
 def test_estimator_params_validation():
     with pytest.raises(ValueError):
-        EstimatorParams(floor=0.0)
-    with pytest.raises(ValueError):
         EstimatorParams(power=0.0)
     with pytest.raises(ValueError):
         EstimatorParams(power=1.5)
@@ -87,7 +85,32 @@ def test_regularize_above_the_relative_floor_is_pure_power():
     scores = np.array([3.0, 2.5, 100.0, 7.5])
     assert scores.min() >= monitor._RELATIVE_FLOOR * scores.max()
     out = regularize_curvature(scores, params)
-    assert np.array_equal(out, np.maximum(scores, params.floor) ** params.power)
+    assert np.array_equal(out, np.maximum(scores, monitor._ABSOLUTE_FLOOR) ** params.power)
+
+
+_SCORE = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1e-13),
+    st.floats(0.0, 10.0),
+    st.floats(1e3, 1e12),
+)
+
+
+@given(
+    st.lists(_SCORE, max_size=40),
+    st.floats(monitor._ABSOLUTE_FLOOR / monitor._RELATIVE_FLOOR, 1e12),
+    st.integers(0, 40),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_absolute_floor_acts_only_below_the_relative_one(rest, peak, at, power):
+    # Once the largest score reaches _ABSOLUTE_FLOOR / _RELATIVE_FLOOR, the
+    # relative floor lifts every score at least as far as the absolute one,
+    # so the absolute floor changes no bit of the result.
+    scores = np.array(rest[:at] + [peak] + rest[at:])
+    out = regularize_curvature(scores, EstimatorParams(power=power))
+    expected = np.maximum(scores, monitor._RELATIVE_FLOOR * scores.max()) ** power
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_monitor_table_contracts():
@@ -116,6 +139,42 @@ def test_build_monitor_rejects_nonpositive_scores():
         build_monitor(mesh, np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         build_monitor(mesh, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MonitorTable(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0])), "equal length"),
+        (lambda: MonitorTable(np.array([0.0]), np.array([0.0])), "at least two nodes"),
+        (
+            lambda: MonitorTable(np.array([0.0, 1.0, 0.5]), np.array([0.0, 1.0, 2.0])),
+            "monitor nodes must be strictly increasing",
+        ),
+        (
+            lambda: equidistribute(build_monitor(Mesh.uniform(3), np.ones(3)), 1),
+            "at least two nodes",
+        ),
+        # The far-field masses fall below one ulp of the running total, even
+        # with the mass floor, so the cumulative table stalls.
+        (
+            lambda: build_monitor(
+                Mesh(np.array([0.0, 1e10, np.nextafter(1e10, 2e10)])),
+                np.array([1e5, 1e-300, 1e-300]),
+            ),
+            "cumulative must be strictly increasing",
+        ),
+    ],
+    ids=[
+        "table_lengths_differ",
+        "table_one_node",
+        "table_nodes_decrease",
+        "equidistribute_one_node",
+        "build_monitor_stalls",
+    ],
+)
+def test_public_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_equidistribute_constant_scores_gives_uniform_mesh():

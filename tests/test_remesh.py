@@ -647,6 +647,9 @@ def test_smoothing_identity_validates_geometry():
         interpolation_smoothing_residual(sol, 1, -2.0, 0.5)
     with pytest.raises(ValueError):
         interpolation_smoothing_residual(sol, 1, 0.5, 0.5)
+    # Both bracketing nodes on x_1 = 0 straddle it, but span nothing.
+    with pytest.raises(ValueError, match="must be distinct"):
+        interpolation_smoothing_residual(sol, 1, 0.0, 0.0)
 
 
 def test_clipping_residuals_bounded_by_allowance():

@@ -48,6 +48,51 @@ def test_step_context_validation():
         StepContext(dt=0.1, cfl_target=0.5, cell_widths=np.array([1.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: StepContext(dt=0.1, cfl_target=0.5, cell_widths=np.ones((3, 3))),
+            "1-D array of length >= 3",
+        ),
+        (
+            lambda: StepContext(dt=0.1, cfl_target=0.5, cell_widths=np.ones(2)),
+            "1-D array of length >= 3",
+        ),
+        (lambda: evolution_constant(SchemeKind.FTCS, 0.0), "cfl must lie in"),
+        (lambda: evolution_constant("ftcs", 0.5), "unknown scheme kind"),
+        (
+            lambda: choose_dt(
+                uniform_state(), burgers_problem(), 0.0, np.inf, np.ones(17)
+            ),
+            "cfl_target must lie in",
+        ),
+        (
+            lambda: scheme_step(
+                SchemeKind.FTCS,
+                uniform_state(),
+                StepContext(dt=0.01, cfl_target=0.5, cell_widths=np.ones(16)),
+                burgers_problem(),
+            ),
+            "cell widths must match",
+        ),
+        (lambda: evolution_ratio(np.zeros(5), np.zeros(6)), "matching 1-D arrays"),
+    ],
+    ids=[
+        "context_widths_2d",
+        "context_two_widths",
+        "constant_cfl_0",
+        "constant_unknown_kind",
+        "choose_dt_cfl_0",
+        "step_widths_mismatch",
+        "ratio_shapes_differ",
+    ],
+)
+def test_public_rejections(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_step_context_for_solution_uses_cell_widths():
     sol = uniform_state(9)
     ctx = StepContext.for_solution(sol, 0.01, 0.5)
