@@ -12,11 +12,12 @@ that snapshots.csv keeps. Exit codes: 0 success, 2 unusable configuration,
 parameters or paths (a config file that cannot be read or is not valid text,
 an output directory that cannot be created, or a table path that cannot be
 written; nothing is created or written) or simulate outputs or a spill that
-cannot be written (every file and directory the run created is removed
-again), 3 runtime blow-up (partial outputs are kept), 4 a failed mesh
-reconstruction (manifest only) or a bound table that failed its self-check
-(no file). All numbers are serialized with 17 significant digits, so the
-CSV outputs of identical configurations are byte-identical.
+cannot be written, or a run too large for memory (every file and directory
+the run created is removed again), 3 runtime blow-up (partial outputs are
+kept), 4 a failed mesh reconstruction (manifest only) or a bound table that
+failed its self-check (no file). All numbers are serialized with 17
+significant digits, so the CSV outputs of identical configurations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .bounds import (
     uniform_extreme_bound,
 )
 from .driver import BlowUpError, RunConfig, StepRecord, run_simulation
-from .grid import Problem, burgers_problem, transport_problem
+from .grid import burgers_problem, transport_problem
 from .monitor import EstimatorParams
 from .remesh import RemeshError
 from .schemes import SchemeKind
 from .snapshots import snapshot_lines, spill_hook
 
-__all__ = ["ConfigError", "parse_config", "build_run_config", "main"]
+__all__ = ["parse_config", "build_run_config", "main"]
 
 _PROBLEMS = {
     "transport": transport_problem,
@@ -72,20 +73,11 @@ _KEYS = {
 }
 
 
-class ConfigError(ValueError):
-    """The run configuration cannot be used as given."""
-
-
-def _fmt(value: float) -> str:
-    """Serialize a float with enough digits to round-trip exactly."""
-    return format(float(value), ".17g")
-
-
 def _parse_value(key: str, value: str):
     kind = _KEYS[key][0]
     if isinstance(kind, list):
         if value not in kind:
-            raise ConfigError(f"{key} must be one of {kind}, got {value!r}")
+            raise ValueError(f"{key} must be one of {kind}, got {value!r}")
         return value
     if kind is bool:
         word = value.lower()
@@ -93,11 +85,11 @@ def _parse_value(key: str, value: str):
             return True
         if word in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"{key} must be a boolean, got {value!r}")
+        raise ValueError(f"{key} must be a boolean, got {value!r}")
     try:
         return kind(value)
     except ValueError:
-        raise ConfigError(f"cannot parse {key}={value!r}") from None
+        raise ValueError(f"cannot parse {key}={value!r}") from None
 
 
 def parse_config(text: str) -> dict:
@@ -105,7 +97,7 @@ def parse_config(text: str) -> dict:
 
     Blank lines and lines whose first non-blank character is '#' are
     ignored. Unknown keys, duplicate keys, missing required keys and
-    untypable values all raise ConfigError. The dict holds the defaults
+    untypable values all raise ValueError. The dict holds the defaults
     first, then the keys the text sets, in its order.
     """
     seen: dict = {}
@@ -114,48 +106,47 @@ def parse_config(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         if key not in _KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         seen[key] = _parse_value(key, value.strip())
     defaults = {}
     for key, (_, default) in _KEYS.items():
         if default is not _REQUIRED:
             defaults[key] = default
         elif key not in seen:
-            raise ConfigError(f"missing required key {key!r}")
+            raise ValueError(f"missing required key {key!r}")
     return {**defaults, **seen}
 
 
 def build_run_config(settings: dict) -> RunConfig:
-    """Turn a parsed config dict into a validated RunConfig."""
-    scheme = SchemeKind(settings["scheme"])
-    problem: Problem = _PROBLEMS[settings["problem"]]()
-    try:
-        return RunConfig(
-            problem=problem,
-            scheme=scheme,
-            n=settings["n"],
-            cfl_target=settings["cfl"],
-            final_time=settings["t_final"],
-            adaptive=settings["adaptive"],
-            estimator=EstimatorParams(power=settings["pw"]),
-            jump_position=settings["x0"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """Turn a parsed config dict into a validated RunConfig.
+
+    Raises ValueError, with RunConfig's message, for a value out of range.
+    """
+    return RunConfig(
+        problem=_PROBLEMS[settings["problem"]](),
+        scheme=SchemeKind(settings["scheme"]),
+        n=settings["n"],
+        cfl_target=settings["cfl"],
+        final_time=settings["t_final"],
+        adaptive=settings["adaptive"],
+        estimator=EstimatorParams(power=settings["pw"]),
+        jump_position=settings["x0"],
+    )
 
 
 def _write_outputs(out: Path, outputs: dict[str, Iterable[str] | None]) -> None:
     """Write the named files into ``out`` and remove those mapped to None.
 
     Each file is written text by text, each text followed by a newline. On
-    an OSError, the files this call opened are removed again before the
-    error propagates, so a failed write leaves none of them behind.
+    an OSError or a MemoryError, the files this call opened are removed
+    again before the error propagates, so a failed write leaves none of
+    them behind.
     """
     opened: list[Path] = []
     try:
@@ -169,7 +160,7 @@ def _write_outputs(out: Path, outputs: dict[str, Iterable[str] | None]) -> None:
                 for text in texts:
                     handle.write(text)
                     handle.write("\n")
-    except OSError:
+    except (OSError, MemoryError):
         for path in opened:
             path.unlink(missing_ok=True)
         raise
@@ -185,7 +176,7 @@ def _make_dirs(path: Path, created: list[Path]) -> None:
 
 def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list[str]:
     lines = ["step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"]
-    # One %-format per row: '%.17g' % x is the text of _fmt(x).
+    # One %-format per row.
     row = "%d" + ",%.17g" * 8
     for rec in records:
         lines.append(row % (
@@ -205,7 +196,7 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
     try:
         settings = parse_config(text)
         config = build_run_config(settings)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -220,10 +211,11 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         # pages for a later large array (about +3 MB peak RSS with 1 MiB).
         with tempfile.TemporaryFile(dir=out, buffering=1 << 16) as spill:
             manifest = _simulate_into(out, spill, config, settings)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         for path in created:
             path.rmdir()
-        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
+        what = "cannot write outputs" if isinstance(exc, OSError) else "out of memory"
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return 2
     if manifest["status"] == "remesh_error":
         print(
@@ -243,8 +235,8 @@ def _simulate_into(
 ) -> dict:
     """Run ``config``, spilling each step to ``spill``; write the outputs.
 
-    Returns the manifest. An OSError from the spill or from writing
-    propagates, and then no output file is left behind.
+    Returns the manifest. An OSError from the spill or from writing, or a
+    MemoryError, propagates, and then no output file is left behind.
     """
     index: list[tuple[int, float, int, int]] = []
     start = time.perf_counter()
@@ -301,7 +293,6 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     slack = 1.0 + 1e-12
     values = table.values.tolist()
     closed_forms = _closed_form_table(params, last_step).tolist()
-    # '%.17g' % x is the text of _fmt(x).
     uniform_texts = ["%.17g" % bound for bound in uniform]
     # The share of the step-m increase a_m still alive at step k,
     # clip * coupling**(k - m) * a_m, from plain floats.
@@ -335,7 +326,7 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
             raise RuntimeError(f"contribution bound violated at k={k}")
     if b2 > b1:
         raise RuntimeError("contribution bound exceeds extreme-sum bound")
-    row = f"%d,%d,%.17g,%.17g,%s,%s,%.17g,{_fmt(b1)},{_fmt(b2)}"
+    row = "%d,%d,%.17g,%.17g,%s,%s,%.17g," + "%.17g,%.17g" % (b1, b2)
     rows = "\n".join([row] * (last_step * (last_step + 1) // 2)) % tuple(cells)
     return ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2", rows]
 

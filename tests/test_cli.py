@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classical
 import shockmesh.bounds as bounds
@@ -29,14 +31,7 @@ from shockmesh import (
     StepRecord,
     evolution_constant,
 )
-from shockmesh.cli import (
-    ConfigError,
-    _fmt,
-    _tv_series_lines,
-    build_run_config,
-    main,
-    parse_config,
-)
+from shockmesh.cli import _tv_series_lines, build_run_config, main, parse_config
 from shockmesh.grid import _trusted
 from shockmesh.snapshots import snapshot_lines, spill_hook
 
@@ -60,6 +55,11 @@ BLOW_UP_CONFIG = (
 CSVS = ["manifest.json", "snapshots.csv", "tv_series.csv"]
 
 THEORY_ARGV = ["theory", "--lambda", "0.1", "--c", "1.0", "--m", "1.0", "--kmax", "5"]
+
+
+def fmt(value):
+    """The per-value oracle of every CSV number: 17 significant digits."""
+    return format(float(value), ".17g")
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -98,7 +98,7 @@ def test_parse_config_defaults_and_comments():
     ],
 )
 def test_parse_config_rejections(bad):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config(bad)
 
 
@@ -124,9 +124,9 @@ def test_parse_config_reads_every_true_word(word):
     assert parse_config(BASE_CONFIG + f"adaptive = {word}\n")["adaptive"] is True
 
 
-def test_build_run_config_wraps_validation_errors():
+def test_build_run_config_raises_the_run_config_message():
     settings = parse_config(BASE_CONFIG.replace("cfl = 0.5", "cfl = 1.5"))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match=r"^cfl_target must lie in \(0, 1\]$"):
         build_run_config(settings)
 
 
@@ -231,15 +231,16 @@ def test_unusable_paths_exit_two_and_create_nothing(tmp_path, capsys, monkeypatc
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
-def test_simulate_reads_the_config_as_utf8_under_an_ascii_locale(tmp_path):
+@pytest.mark.parametrize("module", ["shockmesh", "shockmesh.cli"])
+def test_simulate_reads_the_config_as_utf8_under_an_ascii_locale(tmp_path, module):
     # The config is UTF-8 text whatever the locale: an en dash in a comment
-    # must not fail under the C locale.
+    # must not fail under the C locale. Both module entry points run.
     raw = "# transport \u2013 a smoke run\n" + BASE_CONFIG
     (tmp_path / "run.cfg").write_bytes(raw.encode("utf-8"))
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
     done = subprocess.run(
-        [sys.executable, "-m", "shockmesh", "simulate", "run.cfg", "out"],
+        [sys.executable, "-m", module, "simulate", "run.cfg", "out"],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -504,6 +505,29 @@ def test_simulate_unexpected_error_leaves_no_file(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def _lines_then_memory_error(spill, index, n):
+    yield "step,time,node_index,x,u"
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("where", ["allocation", "run", "write"])
+def test_simulate_out_of_memory_exits_two_and_leaves_no_file(tmp_path, capsys, monkeypatch, where):
+    text = BASE_CONFIG
+    if where == "allocation":
+        # 10**17 nodes fail at allocation, without touching memory.
+        text = BASE_CONFIG.replace("n = 40", "n = 100000000000000000")
+    elif where == "run":
+        fail_after_step_3(monkeypatch, MemoryError())
+    else:
+        monkeypatch.setattr(cli, "snapshot_lines", _lines_then_memory_error)
+    out = tmp_path / "made" / "out"
+    argv = ["simulate", str(write_config(tmp_path, text)), str(out)]
+    assert main_without_resource_warnings(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert not (tmp_path / "made").exists()
+
+
 class _FullDisk(io.BytesIO):
     """A spill file whose device fills up after ``room`` bytes."""
 
@@ -534,6 +558,36 @@ def test_simulate_failed_spill_exits_two_and_leaves_no_file(tmp_path, capsys, mo
     assert err.startswith("error: cannot write outputs: ") and err.count("\n") == 1
     # The run made the output directory, so it removes that too.
     assert not out.exists()
+
+
+@st.composite
+def small_config_texts(draw):
+    """A random small simulate config, every key set, floats written exactly."""
+    cfl = draw(st.floats(0.0, 1.0, exclude_min=True))
+    unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    values = {
+        "problem": draw(st.sampled_from(["transport", "burgers"])),
+        "scheme": draw(st.sampled_from([kind.value for kind in SchemeKind])),
+        "n": draw(st.integers(10, 64)),
+        "cfl": cfl,
+        # At most cfl as well: the step count grows as t_final / cfl.
+        "t_final": draw(st.floats(0.0, min(0.05, cfl))),
+        "adaptive": draw(st.booleans()),
+        "x0": draw(st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12]), unit)),
+        "pw": draw(st.floats(0.0, 1.0, exclude_min=True)),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(text=small_config_texts())
+def test_simulate_random_small_configs_end_with_a_documented_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", str(cfg), str(out)]) in (0, 3, 4)
+        assert (out / "manifest.json").is_file()
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -725,7 +779,7 @@ def snapshot_csv_lines(snapshots):
 
 def per_value_lines(snapshots):
     return ["step,time,node_index,x,u"] + [
-        f"{step},{_fmt(t)},{i},{_fmt(x)},{_fmt(u)}"
+        f"{step},{fmt(t)},{i},{fmt(x)},{fmt(u)}"
         for step, t, solution in snapshots
         for i, (x, u) in enumerate(zip(solution.mesh.nodes, solution.values))
     ]
@@ -816,9 +870,9 @@ def test_tv_series_lines_match_per_value_formatting():
         ),
     ]
     expected = ["step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"] + [
-        f"{r.step},{_fmt(r.time)},{_fmt(r.tv)},{_fmt(r.tvi)},"
-        f"{_fmt(r.evolution_ratio)},{_fmt(r.max_score)},"
-        f"{_fmt(r.mean_score)},{_fmt(r.increase)},{_fmt(r.overshoot)}"
+        f"{r.step},{fmt(r.time)},{fmt(r.tv)},{fmt(r.tvi)},"
+        f"{fmt(r.evolution_ratio)},{fmt(r.max_score)},"
+        f"{fmt(r.mean_score)},{fmt(r.increase)},{fmt(r.overshoot)}"
         for r in records
     ]
     assert _tv_series_lines(records) == expected
