@@ -14,8 +14,9 @@ an output directory that cannot be created, or a table path that cannot be
 written; nothing is created or written) or simulate outputs or a spill that
 cannot be written, or a run too large for memory (every file and directory
 the run created is removed again), 3 runtime blow-up (partial outputs are
-kept), 4 a failed mesh reconstruction (manifest only) or a bound table that
-failed its self-check (no file). All numbers are serialized with 17
+kept), 4 a failed mesh reconstruction or a time step that cannot advance
+the clock (manifest only) or a bound table that failed its self-check (no
+file). All numbers are serialized with 17
 significant digits, so the CSV outputs of identical configurations are
 byte-identical.
 """
@@ -44,7 +45,7 @@ from .bounds import (
     tv_increase_bound_from_extremes,
     uniform_extreme_bound,
 )
-from .driver import BlowUpError, RunConfig, StepRecord, run_simulation
+from .driver import BlowUpError, RunConfig, StepRecord, _Stalled, run_simulation
 from .grid import burgers_problem, transport_problem
 from .monitor import EstimatorParams
 from .remesh import RemeshError
@@ -186,6 +187,10 @@ def _tv_series_lines(records: tuple[StepRecord, ...] | list[StepRecord]) -> list
     return lines
 
 
+# The manifest statuses of a run that exits 4, and what stderr calls them.
+_FAILURES = {"remesh_error": "mesh reconstruction failed", "stalled": "run stalled"}
+
+
 def cmd_simulate(config_path: str, outdir: str) -> int:
     try:
         # utf-8-sig drops a leading byte-order mark, which some editors write.
@@ -217,9 +222,9 @@ def cmd_simulate(config_path: str, outdir: str) -> int:
         what = "cannot write outputs" if isinstance(exc, OSError) else "out of memory"
         print(f"error: {what}: {exc}", file=sys.stderr)
         return 2
-    if manifest["status"] == "remesh_error":
+    if manifest["status"] in _FAILURES:
         print(
-            f"error: mesh reconstruction failed after step {manifest['steps']}: "
+            f"error: {_FAILURES[manifest['status']]} after step {manifest['steps']}: "
             f"{manifest['error']}",
             file=sys.stderr,
         )
@@ -241,20 +246,24 @@ def _simulate_into(
     index: list[tuple[int, float, int, int]] = []
     start = time.perf_counter()
     blow_up_step = error = None
+    status = "ok"
     try:
         records = run_simulation(config, spill_hook(spill, index)).records
     except BlowUpError as exc:
         blow_up_step, records = exc.step, exc.records
     except RemeshError as exc:
-        error = str(exc)
+        status, error = "remesh_error", str(exc)
+    except _Stalled as exc:
+        status, error = "stalled", str(exc)
     # The hook has seen the initial state and every completed step.
     steps = index[-1][0]
-    manifest = {"command": "simulate", "status": "ok", "steps": steps}
+    manifest = {"command": "simulate", "status": status, "steps": steps}
     if error is not None:
-        manifest.update(status="remesh_error", error=error)
+        manifest["error"] = error
     manifest.update(wall_time_seconds=time.perf_counter() - start, config=settings)
-    # Only the manifest describes a failed reconstruction: CSVs that an
-    # earlier run left in the directory would pass for its output.
+    # Only the manifest describes a failed reconstruction or a stalled run:
+    # CSVs that an earlier run left in the directory would pass for its
+    # output.
     csvs = {"snapshots.csv": None, "tv_series.csv": None}
     if error is None:
         manifest["outputs"] = {"snapshots": "snapshots.csv", "tv_series": "tv_series.csv"}

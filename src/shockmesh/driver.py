@@ -5,7 +5,8 @@ running the uniform baseline), measures the oscillation diagnostics on the
 reconstructed state, picks a CFL-limited time step clipped to the remaining
 time, applies the chosen scheme, and records a step summary. The loop stops
 when the remaining time reaches zero; non-finite or huge values abort with
-a blow-up error that keeps the partial history.
+a blow-up error that keeps the partial history, and a time step that
+cannot advance the clock ends the run with an error before it is taken.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at step {step}")
         self.step = step
         self.records = records
+
+
+class _Stalled(RuntimeError):
+    """The run's clock stopped: the time step is 0 or too small to change
+    the remaining time, so no number of further steps would end the run."""
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,8 @@ def run_simulation(
 
     ``snapshot_hook`` is called with (step, time, solution) for the initial
     state and after every completed step; blow-ups raise before the hook
-    sees the bad state.
+    sees the bad state. A time step that cannot advance the clock raises
+    before the step is taken.
     """
     initial = make_jump_initial(Mesh.uniform(config.n), config.jump_position)
     high = float(initial.values.max())
@@ -220,6 +227,7 @@ def run_simulation(
 
     remaining = config.final_time
     step = 0
+    mesh = widths = None
     report = _UNGUARDED
     while remaining > 0.0:
         step += 1
@@ -228,12 +236,21 @@ def run_simulation(
 
         overshoot, increase = measure_front(current.values, high, growth)
 
-        widths = CellGeometry.from_mesh(current.mesh).widths
+        # Widths once per mesh object: once per run on a fixed mesh, once
+        # per step on an adaptive one.
+        if current.mesh is not mesh:
+            mesh = current.mesh
+            widths = CellGeometry.from_mesh(mesh).widths
         dt = choose_dt(current, config.problem, config.cfl_target, remaining, widths)
-        # dt = cfl * min(width) / speed: it fails to be positive only when
-        # two cell interfaces of the reconstructed mesh round together.
+        # dt = cfl * min(width) / speed: it fails to be positive when two
+        # cell interfaces of the reconstructed mesh round together, or when
+        # the product underflows on cells that all have a width.
         if not (math.isfinite(dt) and dt > 0.0):
+            if dt == 0.0 and widths.min() > 0.0:
+                raise _Stalled("time step underflows")
             raise RemeshError("reconstructed mesh has a cell of zero width")
+        if remaining - dt == remaining:
+            raise _Stalled("time step below the clock's resolution")
         ctx = _trusted(StepContext, dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 

@@ -4,14 +4,15 @@ Which steps snapshots.csv keeps depends on the final step count, which is
 known only when the run ends. ``spill_hook`` therefore writes every step's
 values, and the nodes of each new mesh, to a binary file as raw float64
 bytes, and ``snapshot_lines`` reads back and formats only the kept steps.
-Only the command-line harness imports this module.
+On a mesh that several kept blocks share, as on a fixed mesh, each block
+after the first rewrites only the rows whose value changed. Only the
+command-line harness imports this module.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import operator
 from collections import Counter
 from collections.abc import Iterator
 from itertools import chain
@@ -53,7 +54,10 @@ def snapshot_lines(
 
     Kept are the steps on a cadence of about 50 blocks per run, and the
     last step. Their arrays are read back from ``spill`` at the offsets
-    ``index`` holds. Every number is written as '%.17g' % x.
+    ``index`` holds. Every number is written as '%.17g' % x. A mesh that
+    several kept blocks share has its row texts kept: each block after its
+    first re-renders only the rows whose value differs bit for bit from the
+    block before.
     """
     last = index[-1][0]
     cadence = max(1, math.ceil(last / 50))
@@ -71,7 +75,7 @@ def snapshot_lines(
 
     yield "step,time,node_index,x,u"
     node_index = [f"{i}," for i in range(n)]
-    cached_at = node_texts = None
+    cached_at = node_texts = rows = shown = None
     for step, instant, nodes_at, values_at in kept:
         prefix = "%d,%.17g," % (step, instant)
         values = read(values_at)
@@ -83,13 +87,19 @@ def snapshot_lines(
             yield "\n".join([prefix + "%s%.17g,%.17g"] * n) % tuple(fields)
             continue
         if nodes_at != cached_at:
-            # A mesh that several kept blocks share: its "i,x," texts once.
+            # A mesh that several kept blocks share: its "i,x," texts once,
+            # and every row of its first block.
             cached_at = nodes_at
             fields = chain.from_iterable(zip(node_index, read(nodes_at).tolist()))
             node_texts = ("\n".join(["%s%.17g,"] * n) % tuple(fields)).split("\n")
-        # Each distinct bit pattern once, so -0.0 and 0.0 stay apart.
-        bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-        distinct = bits.view(np.float64).tolist()
-        texts = ("\n".join(["%.17g"] * len(distinct)) % tuple(distinct)).split("\n")
-        rows = map(operator.add, node_texts, map(texts.__getitem__, inverse.tolist()))
+            rows = node_texts.copy()
+            changed = np.arange(n)
+        else:
+            # Only the rows whose value changed, bit for bit, so that -0.0
+            # and 0.0 stay apart.
+            changed = (values.view(np.uint64) != shown.view(np.uint64)).nonzero()[0]
+        shown = values
+        texts = "\n".join(["%.17g"] * changed.size) % tuple(values[changed].tolist())
+        for i, text in zip(changed.tolist(), texts.split("\n")):
+            rows[i] = node_texts[i] + text
         yield prefix + ("\n" + prefix).join(rows)

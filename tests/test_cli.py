@@ -4,6 +4,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +35,8 @@ from shockmesh import (
 from shockmesh.cli import _tv_series_lines, build_run_config, main, parse_config
 from shockmesh.grid import _trusted
 from shockmesh.snapshots import snapshot_lines, spill_hook
+
+from conftest import GRID_FINAL_TIME
 
 BASE_CONFIG = """\
 # short smoke run
@@ -415,6 +418,43 @@ def test_simulate_zero_width_cell_exits_four_with_manifest(tmp_path, capsys):
     assert manifest["status"] == "remesh_error"
     assert manifest["steps"] == 1
     assert manifest["error"] == "reconstructed mesh has a cell of zero width"
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "n, cfl, message",
+    [
+        (20, "1e-300", "time step below the clock's resolution"),
+        (63, "5e-324", "time step underflows"),
+    ],
+    ids=["below_resolution", "underflow"],
+)
+def test_simulate_stalled_clock_exits_four_with_manifest(tmp_path, n, cfl, message):
+    # On the fixed mesh dt is about 5e-302, which leaves the remaining time
+    # unchanged, or underflows to 0; neither run could ever end. A
+    # subprocess with a timeout, so that a run that hangs fails the test.
+    text = (
+        f"problem = transport\nscheme = ftcs\nn = {n}\ncfl = {cfl}\n"
+        "t_final = 0.01\nadaptive = false\n"
+    )
+    write_config(tmp_path, text)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "shockmesh", "simulate", "run.cfg", "out"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 4, done.stderr
+    assert done.stderr == f"error: run stalled after step 0: {message}\n"
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "stalled"
+    assert manifest["steps"] == 0
+    assert manifest["error"] == message
+    assert manifest["wall_time_seconds"] < 1.0
     assert sorted(path.name for path in out.iterdir()) == ["manifest.json"]
 
 
@@ -854,6 +894,121 @@ def test_snapshot_lines_keep_the_cadence_and_the_last_step():
     lines = snapshot_csv_lines(snapshots)
     assert lines == per_value_lines(kept)
     assert sorted({int(line.split(",")[0]) for line in lines[1:]})[-2:] == [52, 53]
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["equal_nodes", "moved_nodes"])
+def test_snapshot_lines_rewrite_only_changed_rows_on_a_shared_mesh(moved):
+    # Blocks on one mesh: nothing changes; one row flips 0.0 -> -0.0, then
+    # back; a row returns to the value it held two blocks before; every row
+    # changes. Then a mesh of one block, and a new shared mesh whose nodes
+    # equal the first one's (or are moved): no kept row may cross meshes.
+    nodes = np.linspace(0.0, 1.0, SIGNED_ZEROS.size)
+    first = Mesh(nodes)
+    lone = Mesh(nodes * 0.5)
+    last = Mesh(nodes * 0.25 if moved else nodes.copy())
+    base = SIGNED_ZEROS.copy()
+    flipped = base.copy()
+    flipped[0] = -0.0
+    away = base.copy()
+    away[3] = 0.1
+    blocks = [
+        (first, base),
+        (first, base.copy()),
+        (first, flipped),
+        (first, base.copy()),
+        (first, away),
+        (first, base.copy()),
+        (first, base + 1.0),
+        (lone, base + 1.0),
+        (last, base + 1.0),
+        (last, flipped),
+    ]
+    snapshots = [
+        (step, step / 10.0, GridSolution(mesh, values))
+        for step, (mesh, values) in enumerate(blocks)
+    ]
+    lines = snapshot_csv_lines(snapshots)
+    assert lines == per_value_lines(snapshots)
+    # Row 0 of blocks 1, 2 and 3.
+    assert [lines[i].rsplit(",", 1)[1] for i in (8, 15, 22)] == ["0", "-0", "0"]
+
+
+ROW_VALUES = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0, -1e300]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    start=st.lists(st.sampled_from(ROW_VALUES), min_size=8, max_size=8),
+    edits=st.lists(
+        st.lists(st.tuples(st.integers(0, 7), st.sampled_from(ROW_VALUES)), max_size=3),
+        min_size=9,
+        max_size=9,
+    ),
+)
+def test_snapshot_lines_on_one_mesh_match_per_value_formatting(start, edits):
+    # Ten blocks on one mesh, each a few row edits away from the one before,
+    # so most rows repeat and the kept row texts are reused.
+    mesh = Mesh(np.linspace(0.0, 1.0, 8))
+    values = np.array(start)
+    snapshots = [(0, 0.0, GridSolution(mesh, values))]
+    for step, block in enumerate(edits, start=1):
+        values = values.copy()
+        for row, value in block:
+            values[row] = value
+        snapshots.append((step, step / 10.0, GridSolution(mesh, values)))
+    assert snapshot_csv_lines(snapshots) == per_value_lines(snapshots)
+
+
+def kept_steps(snapshots):
+    """The (step, time, solution) triples that snapshots.csv keeps."""
+    last = snapshots[-1][0]
+    cadence = max(1, math.ceil(last / 50))
+    return [s for s in snapshots if s[0] % cadence == 0 or s[0] == last]
+
+
+def run_collecting(monkeypatch, tmp_path, text):
+    """Run ``simulate`` on ``text`` through ``main``; return its exit code and
+    every (step, time, solution) that the run handed its snapshot hook."""
+    real_run = cli.run_simulation
+    seen = []
+
+    def collecting_run(config, snapshot_hook=None):
+        def hook(step, instant, solution):
+            seen.append((step, instant, solution))
+            snapshot_hook(step, instant, solution)
+
+        return real_run(config, hook)
+
+    monkeypatch.setattr(cli, "run_simulation", collecting_run)
+    rc = main(["simulate", str(write_config(tmp_path, text)), str(tmp_path / "out")])
+    return rc, seen
+
+
+@pytest.mark.parametrize("scheme", [kind.value for kind in SchemeKind])
+def test_simulate_fixed_mesh_snapshots_match_per_value_formatting(tmp_path, monkeypatch, scheme):
+    text = (
+        f"problem = transport\nscheme = {scheme}\nn = 64\ncfl = 0.5\n"
+        "t_final = 0.45\nadaptive = false\n"
+    )
+    rc, seen = run_collecting(monkeypatch, tmp_path, text)
+    assert rc == 0
+    assert len(seen) > 51  # a cadence of 2: most steps are not kept
+    written = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
+    assert written == per_value_lines(kept_steps(seen))
+
+
+def test_simulate_fixed_mesh_blow_up_snapshots_match_per_value_formatting(
+    tmp_path, monkeypatch
+):
+    # The uniform FTCS Burgers run of the driver tests, which blows up.
+    text = (
+        "problem = burgers\nscheme = ftcs\nn = 200\ncfl = 0.5\n"
+        f"t_final = {GRID_FINAL_TIME}\nadaptive = false\n"
+    )
+    rc, seen = run_collecting(monkeypatch, tmp_path, text)
+    assert rc == 3
+    written = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
+    assert written == per_value_lines(kept_steps(seen))
 
 
 def test_tv_series_lines_match_per_value_formatting():

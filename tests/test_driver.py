@@ -333,6 +333,24 @@ def test_zero_width_cell_is_a_remesh_error():
         run_simulation(cfg)
 
 
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed_mesh", "adaptive"])
+def test_cell_widths_are_built_once_per_mesh(monkeypatch, adaptive):
+    # A fixed mesh is one object for the whole run, so its widths are built
+    # once; an adaptive run builds a new mesh, and so new widths, every step.
+    meshes = []
+    real_from_mesh = CellGeometry.from_mesh
+
+    def counting(mesh):
+        meshes.append(mesh)
+        return real_from_mesh(mesh)
+
+    monkeypatch.setattr(CellGeometry, "from_mesh", counting)
+    result = run_simulation(small_config(adaptive=adaptive, final_time=0.1))
+    assert result.steps > 5
+    assert len(meshes) == (result.steps if adaptive else 1)
+    assert len({id(mesh) for mesh in meshes}) == len(meshes)
+
+
 class _Stop(Exception):
     pass
 
