@@ -18,23 +18,15 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    CellGeometry,
-    GridSolution,
-    Mesh,
-    Problem,
-    _trusted,
-    make_jump_initial,
-    total_variation,
-)
+from .grid import CellGeometry, GridSolution, Mesh, Problem, _trusted, make_jump_initial
 from .monitor import EstimatorParams
 from .remesh import ExtremeGuardParams, ExtremeGuardReport, RemeshError, remesh_step
 from .schemes import (
     SchemeKind,
     StepContext,
+    _evolution_ratio,
     choose_dt,
     evolution_constant,
-    evolution_ratio,
     scheme_step,
 )
 
@@ -132,7 +124,9 @@ class RunResult:
         return len(self.records)
 
 
-def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] | None:
+def front_window(
+    values: np.ndarray, fraction: float = 0.9, *, jumps: np.ndarray | None = None
+) -> tuple[int, int] | None:
     """Smallest node window [lo, hi] carrying ``fraction`` of the TV.
 
     One pass over prefix sums of the absolute differences: with
@@ -151,14 +145,21 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
     of the target can be accepted by one and rejected by the other. When
     every partial sum is exact (dyadic data of modest size) the result is
     exactly that of the two-pointer scan.
+
+    ``jumps`` is ``abs(diff(values))`` when the caller already holds it, as
+    the step loop does; by default it is computed from ``values``. Raises
+    ``ValueError`` if it is not one entry shorter than ``values``.
     """
     values = np.asarray(values, dtype=np.float64)
-    jumps = np.abs(values[1:] - values[:-1])
-    total = float(jumps.sum())
+    if jumps is None:
+        jumps = np.abs(values[1:] - values[:-1])
+    elif np.asarray(jumps).shape != (values.size - 1,):
+        raise ValueError("jumps must hold one entry per interval of values")
+    total = float(np.add.reduce(jumps))
     if total <= 0.0:
         return None
     target = fraction * total
-    prefix = np.empty(values.size)
+    prefix = np.empty(jumps.size + 1)
     prefix[0] = 0.0
     ends = jumps.cumsum(out=prefix[1:])
     hi = (ends[: ends.searchsorted(ends[-1]) + 1] >= target).nonzero()[0]
@@ -170,7 +171,11 @@ def front_window(values: np.ndarray, fraction: float = 0.9) -> tuple[int, int] |
 
 
 def measure_front(
-    values: np.ndarray, reference_high: float, growth_constant: float
+    values: np.ndarray,
+    reference_high: float,
+    growth_constant: float,
+    *,
+    jumps: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """The front's overshoot and fresh oscillation size, as (overshoot, increase).
 
@@ -183,14 +188,15 @@ def measure_front(
     least as high as its left neighbour and strictly above its right one.
     On a monotone front the window maximum is just the window edge partway
     down the slope and no top feeds new oscillations, so the increase is
-    zero, as it is for a top on the right boundary.
+    zero, as it is for a top on the right boundary. ``jumps`` is handed on
+    to :func:`front_window`.
     """
-    window = front_window(values)
+    window = front_window(values, jumps=jumps)
     if window is None:
         return 0.0, 0.0
     lo, hi = window
     segment = values[lo : hi + 1]
-    peak = segment.max()
+    peak = np.maximum.reduce(segment)
     overshoot = max(float(peak) - reference_high, 0.0)
     top = lo + int((segment == peak).nonzero()[0][-1])
     if (
@@ -217,7 +223,11 @@ def run_simulation(
     initial = make_jump_initial(Mesh.uniform(config.n), config.jump_position)
     high = float(initial.values.max())
     current = initial
-    tv0 = total_variation(initial.values)
+    # |diff u| once per state: the front window and the evolution ratio read
+    # it before a step, the TV after it (and, on a fixed mesh, the next step).
+    values = initial.values
+    jumps = np.abs(values[1:] - values[:-1])
+    tv0 = float(np.add.reduce(jumps))
     growth = config.growth_constant
     guard = ExtremeGuardParams(growth)
 
@@ -233,8 +243,10 @@ def run_simulation(
         step += 1
         if config.adaptive:
             current, report = remesh_step(current, config.estimator, guard)
+            values = current.values
+            jumps = np.abs(values[1:] - values[:-1])
 
-        overshoot, increase = measure_front(current.values, high, growth)
+        overshoot, increase = measure_front(values, high, growth, jumps=jumps)
 
         # Widths once per mesh object: once per run on a fixed mesh, once
         # per step on an adaptive one.
@@ -256,14 +268,16 @@ def run_simulation(
 
         vals = advanced.values
         # NaN and inf both fail this test.
-        if not np.abs(vals).max() <= _MAGNITUDE_LIMIT:
+        if not np.maximum.reduce(np.abs(vals)) <= _MAGNITUDE_LIMIT:
             raise BlowUpError(step, records)
 
-        ratio = evolution_ratio(current.values, advanced.values)
+        ratio = _evolution_ratio(values, vals, jumps)
         # choose_dt caps dt at remaining, so this reaches 0 exactly, never below.
         remaining -= dt
         elapsed = config.final_time - remaining
-        tv = total_variation(advanced.values)
+        values = vals
+        jumps = np.abs(values[1:] - values[:-1])
+        tv = float(np.add.reduce(jumps))
         records.append(
             StepRecord(
                 step=step,

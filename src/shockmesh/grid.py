@@ -261,14 +261,13 @@ def _sample_in_cells(
     x_right: np.ndarray,
 ) -> np.ndarray:
     """The sampler's body: each x_new in the knot interval ``idx``, whose
-    ends ``x_left`` and ``x_right`` the caller has gathered."""
+    ends ``x_left`` and ``x_right`` the caller has gathered. A query on a
+    knot takes that knot's value (the knots are distinct, so one at most)."""
     left = ys[idx]
     right = ys[idx + 1]
     t = (x_new - x_left) / (x_right - x_left)
     out = left + t * (right - left)
     out = np.minimum(np.maximum(out, np.minimum(left, right)), np.maximum(left, right))
-    exact_left = x_new == x_left
-    out[exact_left] = left[exact_left]
-    exact_right = x_new == x_right
-    out[exact_right] = right[exact_right]
+    np.copyto(out, left, where=x_new == x_left)
+    np.copyto(out, right, where=x_new == x_right)
     return out

@@ -98,7 +98,7 @@ def regularize_curvature(scores: np.ndarray, params: EstimatorParams) -> np.ndar
     """
     arr = _as_float_array(scores, "scores")
     arr = np.maximum(arr, _ABSOLUTE_FLOOR)
-    arr = np.maximum(arr, _RELATIVE_FLOOR * arr.max(initial=0.0))
+    arr = np.maximum(arr, _RELATIVE_FLOOR * np.maximum.reduce(arr, initial=0.0))
     return arr ** params.power
 
 
@@ -153,19 +153,24 @@ def build_monitor(mesh: Mesh, scores: np.ndarray) -> MonitorTable:
     scores do not guarantee and which equidistribution divides by.
     """
     arr = _as_float_array(scores, "scores")
-    nodes = mesh.nodes
-    if arr.size != nodes.size:
+    if arr.size != mesh.nodes.size:
         raise ValueError("score count must match mesh size")
     if not (arr > 0.0).all():
         raise ValueError("monitor scores must be strictly positive")
+    return _monitor_table(mesh.nodes, arr)
+
+
+def _monitor_table(nodes: np.ndarray, scores: np.ndarray) -> MonitorTable:
+    """:func:`build_monitor` after its checks: one finite, strictly positive
+    score per node, as ``regularize_curvature`` gives them."""
     gaps = nodes[1:] - nodes[:-1]
-    segment_mass = 0.5 * gaps * (arr[:-1] + arr[1:])
-    density = segment_mass.sum() / (nodes[-1] - nodes[0])
+    segment_mass = 0.5 * gaps * (scores[:-1] + scores[1:])
+    density = np.add.reduce(segment_mass) / (nodes[-1] - nodes[0])
     segment_mass = segment_mass + (_MASS_FLOOR * density) * gaps
-    cumulative = np.empty(arr.size)
+    cumulative = np.empty(scores.size)
     cumulative[0] = 0.0
     segment_mass.cumsum(out=cumulative[1:])
-    if not (cumulative[1:] > cumulative[:-1]).all():
+    if not np.logical_and.reduce(cumulative[1:] > cumulative[:-1]):
         raise ValueError("cumulative must be strictly increasing")
     return _trusted(MonitorTable, nodes=nodes, cumulative=cumulative)
 

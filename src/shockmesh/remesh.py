@@ -31,7 +31,7 @@ from .grid import (
 from .monitor import (
     EstimatorParams,
     _equidistribute_cells,
-    build_monitor,
+    _monitor_table,
     discrete_curvature,
     regularize_curvature,
 )
@@ -90,9 +90,9 @@ class ExtremeGuardReport:
     corrections: int
 
 
-def _report(scores: np.ndarray, rounds: int, corrections: int) -> ExtremeGuardReport:
-    max_score = float(scores.max()) if scores.size else 0.0
-    mean_score = float(scores.mean()) if scores.size else 0.0
+def _report(scores: list[float], rounds: int, corrections: int) -> ExtremeGuardReport:
+    max_score = float(max(scores)) if scores else 0.0
+    mean_score = float(np.add.reduce(scores) / len(scores)) if scores else 0.0  # numpy's mean
     return ExtremeGuardReport(max_score, mean_score, rounds, corrections)
 
 
@@ -158,7 +158,7 @@ def enforce_extreme_guard(
         _x, scores, _rounds, _corrections = _walk(x_old, territories, mapped, factor)
         walked = mapped, scores, 1, int((mapped != nodes).sum())
     x_new, scores, rounds, corrections = walked
-    return _checked_mesh(x_new), _report(np.array(scores), rounds, corrections)
+    return _checked_mesh(x_new), _report(scores, rounds, corrections)
 
 
 def _walk(
@@ -213,6 +213,9 @@ def _walk(
     overlap, and a walker stays in [x_{first-1}, x_{last+1}], so this is
     bitwise the full sort, and it leaves nodes already in order as they are.
 
+    A node's cell (its width and which of its ends are extremes) is set up
+    when the node enters it, not on every move.
+
     Returns the nodes after the walks, the scores in node order, the
     longest walk and the sum of the walk lengths; ``nodes`` itself when no
     node walks.
@@ -230,14 +233,18 @@ def _walk(
         # interval, which is guarded only if the next run starts there.
         leaves = k + 1 == len(territories) or territories[k + 1][0] != last + 2
         for j, xj in enumerate(nodes[start:stop].tolist(), start):
-            cell = min(max(bisect_right(knots, xj) - 1, 0), top)
-            xl = knots[cell]
-            xr = knots[cell + 1]
             moves = 0
+            xl = xr = math.nan
             while True:
-                left_ext = cell > 0
-                right_ext = cell < top
-                width = xr - xl
+                if not xl <= xj < xr:
+                    cell = bisect_right(knots, xj) - 1
+                    cell = 0 if cell < 0 else top if cell > top else cell
+                    xl = knots[cell]
+                    xr = knots[cell + 1]
+                    width = xr - xl
+                    half = 0.5 * width
+                    left_ext = cell > 0
+                    right_ext = cell < top
                 from_left = (xr - xj) / width * factor if left_ext else -math.inf
                 from_right = (xj - xl) / width * factor if right_ext else -math.inf
                 use_left = from_left >= from_right
@@ -248,7 +255,7 @@ def _walk(
                     return None
                 near, far, direction = (xl, xr, 1.0) if use_left else (xr, xl, -1.0)
                 span = abs(xj - near)
-                moved = xj + direction * (_NUDGE * max(span, 0.5 * width))
+                moved = xj + direction * (_NUDGE * (half if half > span else span))
                 if direction * (moved - far) >= 0.0:
                     moved = 0.5 * (xj + far)
                 if left_ext and right_ext:
@@ -261,10 +268,6 @@ def _walk(
                     moved = far + direction * (_NUDGE * dest * (1.0 - 0.5 * span / width))
                 xj = moved
                 moves += 1
-                if not xl <= xj < xr:
-                    cell = min(max(bisect_right(knots, xj) - 1, 0), top)
-                    xl = knots[cell]
-                    xr = knots[cell + 1]
             if moves:
                 walkers.append(j)
                 ends.append(xj)
@@ -281,7 +284,7 @@ def _walk(
     for start, stop in moved_in.items():
         x_new[start:stop].sort()
     # Only a walked coordinate can land on another node.
-    if not (x_new[1:] > x_new[:-1]).all():
+    if not np.logical_and.reduce(x_new[1:] > x_new[:-1]):
         return None
     scores = [score for _x, score in sorted(zip(xs, scores))]
     return x_new, scores, max(lengths), sum(lengths)
@@ -325,7 +328,8 @@ def _mapped(
 
 def _checked_mesh(nodes: np.ndarray) -> Mesh:
     """The guard's output mesh, after the step's one check of its nodes."""
-    if not (np.isfinite(nodes).all() and (nodes[1:] > nodes[:-1]).all()):
+    ordered = np.logical_and.reduce(nodes[1:] > nodes[:-1])
+    if not (np.logical_and.reduce(np.isfinite(nodes)) and ordered):
         raise RemeshError("reconstructed mesh is not finite and strictly increasing")
     return _trusted(Mesh, nodes=nodes)
 
@@ -379,8 +383,9 @@ def remesh_step(
     Pipeline: curvature scores -> regularization -> cumulative monitor ->
     equidistribution with the same node count -> extreme-guard enforcement
     -> linear transfer of the solution onto the corrected mesh. The result
-    is bitwise that of :func:`equidistribute`, :func:`enforce_extreme_guard`
-    and :func:`piecewise_linear_sample` in turn, but the old interval that
+    is bitwise that of the public functions in turn, but the scores are
+    checked once, by :func:`regularize_curvature`, as the body of
+    :func:`build_monitor` builds the monitor; and the old interval that
     equidistribution found for each node is the transfer's first guess, so
     only the nodes the guard moved out of theirs are searched again.
 
@@ -391,7 +396,7 @@ def remesh_step(
     """
     x_old = old.mesh.nodes
     scores = regularize_curvature(discrete_curvature(old), estimator)
-    monitor = build_monitor(old.mesh, scores)
+    monitor = _monitor_table(x_old, scores)
     proposed, cells = _equidistribute_cells(monitor, x_old.size)
     corrected, report = enforce_extreme_guard(old, proposed, guard)
     values = _sample_near(x_old, old.values, corrected.nodes, cells)

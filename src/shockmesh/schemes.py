@@ -100,8 +100,9 @@ def choose_dt(
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
-    speed = max(float(np.abs(problem.dflux(solution.values)).max()), _SPEED_FLOOR)
-    dt = cfl_target * float(cell_widths.min()) / speed
+    speeds = np.abs(problem.dflux(solution.values))
+    speed = max(float(np.maximum.reduce(speeds)), _SPEED_FLOOR)
+    dt = cfl_target * float(np.minimum.reduce(cell_widths)) / speed
     return min(dt, max_dt)
 
 
@@ -200,7 +201,12 @@ def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
     after = np.asarray(after, dtype=np.float64)
     if before.shape != after.shape or before.ndim != 1 or before.size < 3:
         raise ValueError("need matching 1-D arrays with at least three entries")
-    diff = np.abs(before[1:] - before[:-1])
+    return _evolution_ratio(before, after, np.abs(before[1:] - before[:-1]))
+
+
+def _evolution_ratio(before: np.ndarray, after: np.ndarray, diff: np.ndarray) -> float:
+    """:func:`evolution_ratio` after its checks, given ``diff = |diff before|``,
+    which the step loop shares with the front window."""
     denom = np.maximum(diff[:-1], diff[1:])
     inner_before = before[1:-1]
     inner_after = after[1:-1]
@@ -213,4 +219,4 @@ def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
     a = inner_after[scored]
     noise = np.spacing(np.maximum(np.abs(b), np.abs(a)))
     change = np.maximum(np.abs(a - b) - noise, 0.0)
-    return float((change / denom[scored]).max())
+    return float(np.maximum.reduce(change / denom[scored]))

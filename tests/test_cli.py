@@ -619,6 +619,60 @@ def small_config_texts(draw):
     return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(
+        ["", " ", "=", "nan", "inf", "-inf", "1e999", "1e-320", "-0", "0", "10", "1_000",
+         "0x10", "\u0661\u0660", "9" * 5000, "true", "off", "Yes", "burgers", "transport"]
+        + [kind.value for kind in SchemeKind]
+    ),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+_FUZZ_LINES = st.one_of(
+    st.sampled_from(["", "   ", "# comment", "n", "= 1", "x0 == 0.5", "N = 40"]),
+    st.builds(lambda key, value: f"{key}={value}", st.sampled_from(sorted(cli._KEYS)), _FUZZ_VALUES),
+    st.text(max_size=20),
+)
+
+
+_TYPED_VALUES = {
+    "problem": st.sampled_from(["transport", "burgers"]),
+    "scheme": st.sampled_from([kind.value for kind in SchemeKind]),
+    "n": st.integers(-5, 10**6).map(str),
+    "adaptive": st.sampled_from(["true", "false", "1", "0", "yes", "off"]),
+}
+_FLOAT_VALUES = st.one_of(st.floats(0.0, 1.0), st.floats()).map(repr)
+
+
+@st.composite
+def fuzzed_config_texts(draw):
+    """Config text with most keys set once, mostly to a value of the key's
+    type (any float, NaN and infinities too), in random order, with a few
+    random lines in between."""
+    lines = []
+    for key in cli._KEYS:
+        if draw(st.integers(0, 19)):
+            typed = _TYPED_VALUES.get(key, _FLOAT_VALUES)
+            value = draw(typed if draw(st.integers(0, 19)) else _FUZZ_VALUES)
+            lines.append(f"{key} = {value}")
+    lines = list(draw(st.permutations(lines)))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_FUZZ_LINES))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=fuzzed_config_texts())
+def test_config_text_raises_nothing_but_value_error(text):
+    # The CLI turns a ValueError from these two calls into exit 2 with a
+    # message; any other exception would escape as a traceback.
+    try:
+        build_run_config(parse_config(text))
+    except ValueError:
+        pass
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(text=small_config_texts())
 def test_simulate_random_small_configs_end_with_a_documented_code(text):

@@ -25,6 +25,7 @@ from shockmesh import (
     SchemeKind,
     StepContext,
     evolution_constant,
+    evolution_ratio,
     front_window,
     measure_front,
     run_simulation,
@@ -96,6 +97,16 @@ def test_front_window_constant_data_is_none():
 def test_front_window_prefers_leftmost_minimal():
     values = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
     assert front_window(values, fraction=0.5) == (0, 2)
+
+
+def test_front_window_takes_the_jumps_it_is_given():
+    values = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0])
+    jumps = np.abs(np.diff(values))
+    assert front_window(values, 0.5, jumps=jumps) == front_window(values, 0.5)
+    with pytest.raises(ValueError, match="one entry per interval"):
+        front_window(values, jumps=jumps[1:])
+    with pytest.raises(ValueError, match="one entry per interval"):
+        measure_front(values, 1.0, 0.5, jumps=np.abs(np.diff(values))[None])
 
 
 # Multiples of 1/8 up to 4 in magnitude and fractions in multiples of 1/64:
@@ -349,6 +360,42 @@ def test_cell_widths_are_built_once_per_mesh(monkeypatch, adaptive):
     assert result.steps > 5
     assert len(meshes) == (result.steps if adaptive else 1)
     assert len({id(mesh) for mesh in meshes}) == len(meshes)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed_mesh", "adaptive"])
+@pytest.mark.parametrize("pname", ["transport", "burgers"])
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_records_read_the_public_diagnostics(monkeypatch, scheme, pname, adaptive):
+    # The step loop takes |diff u| once per state and shares it between the
+    # front window, the evolution ratio and the total variation (on a fixed
+    # mesh, the advanced state's is also the next step's). Each record must
+    # read what the public functions give on the step's input and output.
+    states = []
+    real_step = driver.scheme_step
+
+    def capturing(kind, solution, ctx, problem):
+        advanced = real_step(kind, solution, ctx, problem)
+        states.append((solution.values, advanced.values))
+        return advanced
+
+    monkeypatch.setattr(driver, "scheme_step", capturing)
+    cfg = small_config(
+        scheme=scheme, problem=make_problem(pname), n=64, final_time=0.05, adaptive=adaptive
+    )
+    result = run_simulation(cfg)
+    assert len(states) == result.steps > 5
+    high = float(result.initial.values.max())
+    tv0 = total_variation(result.initial.values)
+    for rec, (before, after) in zip(result.records, states):
+        tv = total_variation(after)
+        expected = [
+            tv,
+            tv - tv0,
+            evolution_ratio(before, after),
+            *measure_front(before, high, cfg.growth_constant),
+        ]
+        got = [rec.tv, rec.tvi, rec.evolution_ratio, rec.overshoot, rec.increase]
+        assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class _Stop(Exception):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classical
@@ -15,6 +15,7 @@ from shockmesh import (
     build_monitor,
     discrete_curvature,
     equidistribute,
+    piecewise_linear_sample,
     regularize_curvature,
 )
 
@@ -227,3 +228,60 @@ def test_equidistribute_output_is_valid_mesh(scores, n):
     assert len(out) == n
     assert out.nodes[0] == mesh.a and out.nodes[-1] == mesh.b
     assert np.all(np.diff(out.nodes) > 0.0)
+
+
+@st.composite
+def monitor_cases(draw):
+    """Mesh nodes, positive scores, a node count and whether the case is
+    dyadic. Dyadic cases (quarter-unit gaps, power-of-two scores and
+    power-of-two interval counts) integrate exactly once the mass floor is
+    0. In the flat ones every segment has the same mass, so whenever one
+    interval count divides the other the levels land exactly on knots."""
+    dyadic = draw(st.booleans())
+    if dyadic:
+        size = 1 + 2 ** draw(st.integers(0, 4))
+        start = draw(st.sampled_from([-1.0, 0.0, 2.0]))
+        gaps = st.sampled_from([0.25, 0.5, 1.0])
+        scores = st.sampled_from([1.0, 2.0, 4.0])
+        if draw(st.booleans()):
+            gaps = st.just(draw(gaps))
+            scores = st.just(draw(scores))
+        n = 1 + 2 ** draw(st.integers(0, 6))
+    else:
+        size = draw(st.integers(2, 30))
+        start = draw(st.floats(-10.0, 10.0))
+        # the smallest segment mass stays far above an ulp of the total,
+        # so build_monitor never rejects the table as stalled
+        gaps = st.floats(1e-3, 10.0)
+        scores = st.floats(1e-3, 1e3)
+        n = draw(st.integers(2, 3 * size))
+    steps = draw(st.lists(gaps, min_size=size - 1, max_size=size - 1))
+    nodes = start + np.concatenate([[0.0], np.cumsum(steps)])
+    values = np.array(draw(st.lists(scores, min_size=size, max_size=size)))
+    return nodes, values, n, dyadic
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(monitor_cases())
+# cumulative [0, 1, 2, 4]: the one level, 2.0, is the knot of node 0.5
+@example((np.array([0.0, 0.25, 0.5, 1.0]), np.full(4, 4.0), 3, True))
+def test_equidistribution_inverts_the_table_inside_its_cells(case):
+    # Every level lies strictly inside (0, total); the rebuild hands each
+    # node's cell on to the transfer, so the cell must hold node and level.
+    nodes, scores, n, dyadic = case
+    with pytest.MonkeyPatch.context() as patch:
+        if dyadic:
+            patch.setattr(monitor, "_MASS_FLOOR", 0.0)
+        table = build_monitor(Mesh(nodes), scores)
+    cum, src = table.cumulative, table.nodes
+    total = float(cum[-1])
+    levels = (total / (n - 1)) * np.arange(1, n - 1, dtype=np.float64)
+    assert ((levels > 0.0) & (levels < total)).all()
+    mesh, cells = monitor._equidistribute_cells(table, n)
+    out = mesh.nodes
+    assert out[[0, -1]].tobytes() == src[[0, -1]].tobytes()
+    assert out[1:-1].tobytes() == piecewise_linear_sample(cum, src, levels).tobytes()
+    assert ((src[cells] <= out) & (out <= src[cells + 1])).all()
+    # the lookup's cells: cum[i] <= level < cum[i + 1]
+    inner = cells[1:-1]
+    assert ((cum[inner] <= levels) & (levels < cum[inner + 1])).all()

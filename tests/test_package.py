@@ -130,7 +130,9 @@ def test_measure_front_finds_the_front_once(monkeypatch):
     real = driver.front_window
     calls = []
     monkeypatch.setattr(
-        driver, "front_window", lambda *args: calls.append(args) or real(*args)
+        driver,
+        "front_window",
+        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
     )
     values = np.array([0.0, 1.25, 1.0, 0.0])
     assert driver.measure_front(values, 1.0, 0.5) == (0.25, 0.0)

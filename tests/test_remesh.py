@@ -739,6 +739,35 @@ def test_remesh_step_transfer_keeps_ends_range_and_variation(old, growth_constan
     assert u_new[coincide].tobytes() == u_old[at].tobytes()
 
 
+def public_rebuild(old, estimator, guard):
+    """``remesh_step`` spelled out in public steps, each node searched afresh."""
+    scores = regularize_curvature(discrete_curvature(old), estimator)
+    proposed = equidistribute(build_monitor(old.mesh, scores), len(old))
+    corrected, report = enforce_extreme_guard(old, proposed, guard)
+    values = piecewise_linear_sample(old.mesh.nodes, old.values, corrected.nodes)
+    return GridSolution(corrected, values), report
+
+
+@given(rebuilt_solutions(), st.sampled_from([0.0, 0.3, 1.0, 1.75, 5.0]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_remesh_step_is_the_public_composition(old, growth_constant):
+    # The rebuild checks the scores once and builds the monitor from the
+    # body of build_monitor; neither may change a byte or the report.
+    estimator = EstimatorParams()
+    guard = ExtremeGuardParams(growth_constant=growth_constant)
+    try:
+        expected, expected_report = public_rebuild(old, estimator, guard)
+    except RemeshError as exc:
+        with pytest.raises(RemeshError) as raised:
+            remesh_step(old, estimator, guard)
+        assert str(raised.value) == str(exc)
+        return
+    out, report = remesh_step(old, estimator, guard)
+    assert out.mesh.nodes.tobytes() == expected.mesh.nodes.tobytes()
+    assert out.values.tobytes() == expected.values.tobytes()
+    assert report == expected_report
+
+
 def test_remesh_step_is_the_public_composition_on_a_replayed_run(monkeypatch):
     # Richtmyer on Burgers at N = 100, CFL 0.3 with the jump at this x0: the
     # walk would collapse two nodes in the guard call after step 49, so that
@@ -758,12 +787,7 @@ def test_remesh_step_is_the_public_composition_on_a_replayed_run(monkeypatch):
 
     def compared(old, estimator, guard):
         out, report = remesh_step(old, estimator, guard)
-        scores = regularize_curvature(discrete_curvature(old), estimator)
-        proposed = equidistribute(build_monitor(old.mesh, scores), len(old))
-        corrected, expected_report = enforce_extreme_guard(old, proposed, guard)
-        expected = GridSolution(
-            corrected, piecewise_linear_sample(old.mesh.nodes, old.values, corrected.nodes)
-        )
+        expected, expected_report = public_rebuild(old, estimator, guard)
         assert out.mesh.nodes.tobytes() == expected.mesh.nodes.tobytes()
         assert out.values.tobytes() == expected.values.tobytes()
         assert report == expected_report
