@@ -333,6 +333,8 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
         if 2.0 * total_increase_contribution(params, k) > b2 * slack:
             raise RuntimeError(f"contribution bound violated at k={k}")
+    if not (math.isfinite(b1) and math.isfinite(b2)):
+        raise RuntimeError("B1 or B2 leaves float64")
     if b2 > b1:
         raise RuntimeError("contribution bound exceeds extreme-sum bound")
     row = "%d,%d,%.17g,%.17g,%s,%s,%.17g," + "%.17g,%.17g" % (b1, b2)

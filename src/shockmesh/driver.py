@@ -24,9 +24,9 @@ from .remesh import ExtremeGuardParams, ExtremeGuardReport, RemeshError, remesh_
 from .schemes import (
     SchemeKind,
     StepContext,
-    _evolution_ratio,
     choose_dt,
     evolution_constant,
+    evolution_ratio,
     scheme_step,
 )
 
@@ -124,13 +124,11 @@ class RunResult:
         return len(self.records)
 
 
-def front_window(
-    values: np.ndarray, fraction: float = 0.9, *, jumps: np.ndarray | None = None
-) -> tuple[int, int] | None:
+def front_window(jumps: np.ndarray, fraction: float = 0.9) -> tuple[int, int] | None:
     """Smallest node window [lo, hi] carrying ``fraction`` of the TV.
 
-    One pass over prefix sums of the absolute differences: with
-    ``c = [0, cumsum(|diff u|)]`` the window of jumps lo..j carries
+    ``jumps`` is ``|diff u|`` of the nodal values u. One pass over prefix
+    sums: with ``c = [0, cumsum(jumps)]`` the window of jumps lo..j carries
     ``c[j + 1] - c[lo]``, so for every right end j the largest admissible
     lo is found by a ``searchsorted`` of ``c[j + 1] - target`` in ``c``.
     Among windows of minimal length the leftmost one is returned. Returns
@@ -145,16 +143,8 @@ def front_window(
     of the target can be accepted by one and rejected by the other. When
     every partial sum is exact (dyadic data of modest size) the result is
     exactly that of the two-pointer scan.
-
-    ``jumps`` is ``abs(diff(values))`` when the caller already holds it, as
-    the step loop does; by default it is computed from ``values``. Raises
-    ``ValueError`` if it is not one entry shorter than ``values``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if jumps is None:
-        jumps = np.abs(values[1:] - values[:-1])
-    elif np.asarray(jumps).shape != (values.size - 1,):
-        raise ValueError("jumps must hold one entry per interval of values")
+    jumps = np.asarray(jumps, dtype=np.float64)
     total = float(np.add.reduce(jumps))
     if total <= 0.0:
         return None
@@ -171,27 +161,28 @@ def front_window(
 
 
 def measure_front(
-    values: np.ndarray,
-    reference_high: float,
-    growth_constant: float,
-    *,
-    jumps: np.ndarray | None = None,
+    values: np.ndarray, jumps: np.ndarray, reference_high: float, growth_constant: float
 ) -> tuple[float, float]:
     """The front's overshoot and fresh oscillation size, as (overshoot, increase).
 
-    Both are read in the front window of ``values`` (see :func:`front_window`);
-    data with no variation gives (0.0, 0.0). The overshoot is the window
-    maximum's excess over ``reference_high``, clamped at zero. The increase
-    is the jump from the shock top (rightmost window maximum) to its right
+    Both are read in the front window of ``values``, which
+    :func:`front_window` finds from ``jumps = |diff values|``; data with no
+    variation gives (0.0, 0.0). The overshoot is the window maximum's
+    excess over ``reference_high``, clamped at zero. The increase is the
+    jump from the shock top (rightmost window maximum) to its right
     neighbour, less twice the overshoot, clamped at zero and scaled by
     ``growth_constant``. The top only counts where the profile tops out: at
     least as high as its left neighbour and strictly above its right one.
     On a monotone front the window maximum is just the window edge partway
     down the slope and no top feeds new oscillations, so the increase is
-    zero, as it is for a top on the right boundary. ``jumps`` is handed on
-    to :func:`front_window`.
+    zero, as it is for a top on the right boundary. Raises ``ValueError``
+    if ``jumps`` is not one entry shorter than ``values``.
     """
-    window = front_window(values, jumps=jumps)
+    values = np.asarray(values, dtype=np.float64)
+    jumps = np.asarray(jumps, dtype=np.float64)
+    if jumps.shape != (values.size - 1,):
+        raise ValueError("jumps must hold one entry per interval of values")
+    window = front_window(jumps)
     if window is None:
         return 0.0, 0.0
     lo, hi = window
@@ -246,7 +237,7 @@ def run_simulation(
             values = current.values
             jumps = np.abs(values[1:] - values[:-1])
 
-        overshoot, increase = measure_front(values, high, growth, jumps=jumps)
+        overshoot, increase = measure_front(values, jumps, high, growth)
 
         # Widths once per mesh object: once per run on a fixed mesh, once
         # per step on an adaptive one.
@@ -271,7 +262,7 @@ def run_simulation(
         if not np.maximum.reduce(np.abs(vals)) <= _MAGNITUDE_LIMIT:
             raise BlowUpError(step, records)
 
-        ratio = _evolution_ratio(values, vals, jumps)
+        ratio = evolution_ratio(values, vals, jumps)
         # choose_dt caps dt at remaining, so this reaches 0 exactly, never below.
         remaining -= dt
         elapsed = config.final_time - remaining

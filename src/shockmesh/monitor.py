@@ -139,7 +139,7 @@ class MonitorTable:
 
 
 def build_monitor(mesh: Mesh, scores: np.ndarray) -> MonitorTable:
-    """Integrate positive node scores with the trapezoid rule.
+    """Integrate one score per node with the trapezoid rule.
 
     Each segment additionally receives ``_MASS_FLOOR`` times the mean mass
     density, spread in proportion to its width. Without that extra mass, a
@@ -148,21 +148,15 @@ def build_monitor(mesh: Mesh, scores: np.ndarray) -> MonitorTable:
     stalling the cumulative table. Spreading it by width adds the same
     scalar to every score, so score-proportional masses stay proportional
     and constant data still yields an exactly uniform mesh on any input
-    mesh. The table is built without the public checks, apart from the
-    strict increase of ``cumulative``, which the valid mesh and positive
-    scores do not guarantee and which equidistribution divides by.
+    mesh. The scores are not checked one by one; the table, which
+    equidistribution divides by, must increase strictly to a finite total,
+    which rejects all-zero, all-negative, NaN and infinite scores. Raises
+    ``ValueError`` if that fails or the score count is not the node count.
     """
-    arr = _as_float_array(scores, "scores")
-    if arr.size != mesh.nodes.size:
+    nodes = mesh.nodes
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != nodes.shape:
         raise ValueError("score count must match mesh size")
-    if not (arr > 0.0).all():
-        raise ValueError("monitor scores must be strictly positive")
-    return _monitor_table(mesh.nodes, arr)
-
-
-def _monitor_table(nodes: np.ndarray, scores: np.ndarray) -> MonitorTable:
-    """:func:`build_monitor` after its checks: one finite, strictly positive
-    score per node, as ``regularize_curvature`` gives them."""
     gaps = nodes[1:] - nodes[:-1]
     segment_mass = 0.5 * gaps * (scores[:-1] + scores[1:])
     density = np.add.reduce(segment_mass) / (nodes[-1] - nodes[0])
@@ -172,6 +166,8 @@ def _monitor_table(nodes: np.ndarray, scores: np.ndarray) -> MonitorTable:
     segment_mass.cumsum(out=cumulative[1:])
     if not np.logical_and.reduce(cumulative[1:] > cumulative[:-1]):
         raise ValueError("cumulative must be strictly increasing")
+    if not cumulative[-1] < np.inf:
+        raise ValueError("monitor total must be finite")
     return _trusted(MonitorTable, nodes=nodes, cumulative=cumulative)
 
 

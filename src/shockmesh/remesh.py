@@ -31,7 +31,7 @@ from .grid import (
 from .monitor import (
     EstimatorParams,
     _equidistribute_cells,
-    _monitor_table,
+    build_monitor,
     discrete_curvature,
     regularize_curvature,
 )
@@ -382,12 +382,12 @@ def remesh_step(
 
     Pipeline: curvature scores -> regularization -> cumulative monitor ->
     equidistribution with the same node count -> extreme-guard enforcement
-    -> linear transfer of the solution onto the corrected mesh. The result
-    is bitwise that of the public functions in turn, but the scores are
-    checked once, by :func:`regularize_curvature`, as the body of
-    :func:`build_monitor` builds the monitor; and the old interval that
-    equidistribution found for each node is the transfer's first guess, so
-    only the nodes the guard moved out of theirs are searched again.
+    -> linear transfer of the solution onto the corrected mesh. The first
+    three stages and the guard are the public functions of those names.
+    Equidistribution and the transfer share one lookup instead: the old
+    interval that equidistribution found for each node is the transfer's
+    first guess, so only the nodes the guard moved out of theirs are
+    searched again.
 
     The transfer keeps both end nodes and their values bitwise, and the
     value of every new node that coincides with an old one; every other
@@ -396,7 +396,7 @@ def remesh_step(
     """
     x_old = old.mesh.nodes
     scores = regularize_curvature(discrete_curvature(old), estimator)
-    monitor = _monitor_table(x_old, scores)
+    monitor = build_monitor(old.mesh, scores)
     proposed, cells = _equidistribute_cells(monitor, x_old.size)
     corrected, report = enforce_extreme_guard(old, proposed, guard)
     values = _sample_near(x_old, old.values, corrected.nodes, cells)

@@ -31,6 +31,9 @@ __all__ = [
 
 _SPEED_FLOOR = 1e-12
 _DENOM_FLOOR = 1e-14
+# The spacing of the largest float overflows; this float below it has the
+# same spacing, so the noise bound clamps to it.
+_NOISE_SCALE_CAP = float(np.nextafter(np.finfo(np.float64).max, 0.0))
 
 
 class SchemeKind(enum.Enum):
@@ -106,10 +109,6 @@ def choose_dt(
     return min(dt, max_dt)
 
 
-def _flux(problem: Problem, values: np.ndarray) -> np.ndarray:
-    return np.asarray(problem.flux(values), dtype=np.float64)
-
-
 # Each kernel maps the nodal values u, their fluxes f, the cell widths h and
 # the step dt to the advanced values, with the boundary values kept.
 
@@ -124,7 +123,7 @@ def _richtmyer_kernel(u, f, h, dt, problem):
     """
     pair = h[:-1] + h[1:]
     u_star = (h[1:] * u[:-1] + h[:-1] * u[1:]) / pair - dt * (f[1:] - f[:-1]) / pair
-    f_star = _flux(problem, u_star)
+    f_star = problem.flux(u_star)
     out = u.copy()
     out[1:-1] = u[1:-1] - dt * (f_star[1:] - f_star[:-1]) / h[1:-1]
     return out
@@ -139,7 +138,7 @@ def _maccormack_kernel(u, f, h, dt, problem):
     """
     u_pred = u.copy()
     u_pred[:-1] = u[:-1] - 2.0 * dt * (f[1:] - f[:-1]) / (h[:-1] + h[1:])
-    f_pred = _flux(problem, u_pred)
+    f_pred = problem.flux(u_pred)
     u_corr = u_pred.copy()
     u_corr[1:] = u_pred[1:] - 2.0 * dt * (f_pred[1:] - f_pred[:-1]) / (h[:-1] + h[1:])
     out = u.copy()
@@ -176,18 +175,20 @@ def scheme_step(
     h = ctx.cell_widths
     if h.size != u.size:
         raise ValueError("cell widths must match the solution size")
-    out = _KERNELS[kind](u, _flux(problem, u), h, ctx.dt, problem)
+    out = _KERNELS[kind](u, problem.flux(u), h, ctx.dt, problem)
     return _trusted(GridSolution, mesh=solution.mesh, values=out)
 
 
-def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
+def evolution_ratio(before: np.ndarray, after: np.ndarray, jumps: np.ndarray) -> float:
     """Largest observed per-node amplification of one evolution step.
 
     For each interior node the change |after - before| is divided by the
-    larger of the two neighbouring input differences; nodes whose
-    denominator falls below ``_DENOM_FLOOR`` are skipped. The max over the
-    remaining nodes is comparable against the scheme's evolution constant,
-    and the schemes' worst-case constants are honored without tolerance.
+    larger of the two neighbouring input differences, read from ``jumps =
+    |diff before|``; nodes whose denominator falls below ``_DENOM_FLOOR``
+    are skipped, and so are unchanged nodes, which score exactly 0. The max
+    over the remaining nodes is comparable against the scheme's evolution
+    constant, and the schemes' worst-case constants are honored without
+    tolerance.
 
     Writing a step's output rounds each updated value to the float grid of
     the values themselves, so the recovered change carries representation
@@ -195,28 +196,27 @@ def evolution_ratio(before: np.ndarray, after: np.ndarray) -> float:
     amplification (against a near-floor denominator it alone would read as
     ~1e-2), so each node's change is first reduced by its provable noise
     bound. The discount under-reports true ratios by at most one value-
-    scale ulp, far below anything the diagnostic exists to detect.
+    scale ulp, far below anything the diagnostic exists to detect. A ratio
+    beyond the float range reads inf, with numpy's overflow warning.
+
+    Raises ``ValueError`` unless ``before`` and ``after`` are matching 1-D
+    arrays of at least three entries and ``jumps`` is one entry shorter.
     """
     before = np.asarray(before, dtype=np.float64)
     after = np.asarray(after, dtype=np.float64)
+    jumps = np.asarray(jumps, dtype=np.float64)
     if before.shape != after.shape or before.ndim != 1 or before.size < 3:
         raise ValueError("need matching 1-D arrays with at least three entries")
-    return _evolution_ratio(before, after, np.abs(before[1:] - before[:-1]))
-
-
-def _evolution_ratio(before: np.ndarray, after: np.ndarray, diff: np.ndarray) -> float:
-    """:func:`evolution_ratio` after its checks, given ``diff = |diff before|``,
-    which the step loop shares with the front window."""
-    denom = np.maximum(diff[:-1], diff[1:])
+    if jumps.shape != (before.size - 1,):
+        raise ValueError("jumps must hold one entry per interval of before")
+    denom = np.maximum(jumps[:-1], jumps[1:])
     inner_before = before[1:-1]
     inner_after = after[1:-1]
-    # A node the step left unchanged scores exactly 0, so only the changed
-    # nodes are scored.
     scored = ((denom >= _DENOM_FLOOR) & (inner_after != inner_before)).nonzero()[0]
     if not scored.size:
         return 0.0
     b = inner_before[scored]
     a = inner_after[scored]
-    noise = np.spacing(np.maximum(np.abs(b), np.abs(a)))
+    noise = np.spacing(np.minimum(np.maximum(np.abs(b), np.abs(a)), _NOISE_SCALE_CAP))
     change = np.maximum(np.abs(a - b) - noise, 0.0)
     return float(np.maximum.reduce(change / denom[scored]))

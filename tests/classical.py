@@ -82,15 +82,18 @@ def evolution_ratio_every_node(before, after, denom_floor=1e-14):
     unchanged ones too (each of those scores exactly 0)."""
     before = np.asarray(before, dtype=np.float64)
     after = np.asarray(after, dtype=np.float64)
-    change = np.abs(after[1:-1] - before[1:-1])
-    noise = np.spacing(np.maximum(np.abs(before[1:-1]), np.abs(after[1:-1])))
-    change = np.maximum(change - noise, 0.0)
     diff = np.abs(before[1:] - before[:-1])
     denom = np.maximum(diff[:-1], diff[1:])
     keep = denom >= denom_floor
     if not keep.any():
         return 0.0
-    return float((change[keep] / denom[keep]).max())
+    b = before[1:-1][keep]
+    a = after[1:-1][keep]
+    # spacing(largest float) overflows; the float below it has the same
+    scale = np.minimum(np.maximum(np.abs(b), np.abs(a)), np.nextafter(np.finfo(float).max, 0))
+    noise = np.spacing(scale)
+    change = np.maximum(np.abs(a - b) - noise, 0.0)
+    return float((change / denom[keep]).max())
 
 
 def discrete_curvature_per_node(x, u):

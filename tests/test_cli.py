@@ -791,8 +791,14 @@ def test_theory_failed_self_check_exits_four_without_output(tmp_path, capsys, mo
         # the recursion's entries grow past float64 on the first row
         (["--lambda", "0.24", "--c", "1", "--m", "1e308", "--kmax", "60"],
          "recursion leaves float64"),
+        # every entry is finite, but B1 (and in the second case also B2)
+        # passes float64
+        (["--lambda", "0.1", "--c", "1.0", "--m", "1e308", "--kmax", "3"],
+         "B1 or B2 leaves float64"),
+        (["--lambda", "0.3", "--c", "0.5", "--m", "1.7e308", "--kmax", "1"],
+         "B1 or B2 leaves float64"),
     ],
-    ids=["closed_form", "closed_form_total", "recursion"],
+    ids=["closed_form", "closed_form_total", "recursion", "b1", "b1_and_b2"],
 )
 def test_theory_table_leaving_float64_exits_four_without_output(
     tmp_path, capsys, argv, message

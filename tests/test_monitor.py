@@ -135,11 +135,23 @@ def test_build_monitor_trapezoid_total(monkeypatch):
 
 
 def test_build_monitor_rejects_nonpositive_scores():
+    # The scores are not checked one by one: a table that cannot be
+    # inverted fails the strict increase, and a wrong count the shape.
     mesh = Mesh.uniform(3)
-    with pytest.raises(ValueError):
-        build_monitor(mesh, np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        build_monitor(mesh, np.array([1.0, 1.0]))
+    for scores in (
+        [0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], [1.0, np.nan, 1.0], [1.0, 1.0, np.inf]
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_monitor(mesh, np.array(scores))
+    for scores in ([1.0, 1.0], np.ones((1, 3)), 1.0):
+        with pytest.raises(ValueError, match="score count"):
+            build_monitor(mesh, scores)
+    # on two nodes an infinite score still increases the table, to inf
+    with pytest.raises(ValueError, match="total must be finite"):
+        build_monitor(Mesh.uniform(2), [1.0, np.inf])
+    # a zero score between positive ones still gives a table to invert
+    table = build_monitor(mesh, [1.0, 0.0, 1.0])
+    assert (np.diff(table.cumulative) > 0.0).all()
 
 
 @pytest.mark.parametrize(

@@ -135,5 +135,6 @@ def test_measure_front_finds_the_front_once(monkeypatch):
         lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs),
     )
     values = np.array([0.0, 1.25, 1.0, 0.0])
-    assert driver.measure_front(values, 1.0, 0.5) == (0.25, 0.0)
-    assert len(calls) == 1 and calls[0][0] is values
+    jumps = np.abs(np.diff(values))
+    assert driver.measure_front(values, jumps, 1.0, 0.5) == (0.25, 0.0)
+    assert len(calls) == 1 and calls[0][0] is jumps

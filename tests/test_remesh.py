@@ -751,8 +751,8 @@ def public_rebuild(old, estimator, guard):
 @given(rebuilt_solutions(), st.sampled_from([0.0, 0.3, 1.0, 1.75, 5.0]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_remesh_step_is_the_public_composition(old, growth_constant):
-    # The rebuild checks the scores once and builds the monitor from the
-    # body of build_monitor; neither may change a byte or the report.
+    # The rebuild hands equidistribution's cells on to the transfer; that
+    # may change no byte and no field of the report.
     estimator = EstimatorParams()
     guard = ExtremeGuardParams(growth_constant=growth_constant)
     try:

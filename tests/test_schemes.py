@@ -28,6 +28,10 @@ def uniform_state(n=17, seed=3):
     return GridSolution(mesh, rng.uniform(-1.0, 1.0, size=n))
 
 
+def jumps_of(values):
+    return np.abs(np.diff(values))
+
+
 def test_evolution_constants():
     assert evolution_constant(SchemeKind.RICHTMYER, 0.5) == 0.5 * 3.5
     assert evolution_constant(SchemeKind.MACCORMACK, 0.5) == 0.5 * 1.5
@@ -76,7 +80,14 @@ def test_step_context_validation():
             ),
             "cell widths must match",
         ),
-        (lambda: evolution_ratio(np.zeros(5), np.zeros(6)), "matching 1-D arrays"),
+        (
+            lambda: evolution_ratio(np.zeros(5), np.zeros(6), np.zeros(4)),
+            "matching 1-D arrays",
+        ),
+        (
+            lambda: evolution_ratio(np.zeros(5), np.zeros(5), np.zeros(5)),
+            "one entry per interval",
+        ),
     ],
     ids=[
         "context_widths_2d",
@@ -86,6 +97,7 @@ def test_step_context_validation():
         "choose_dt_cfl_0",
         "step_widths_mismatch",
         "ratio_shapes_differ",
+        "ratio_jumps_mismatch",
     ],
 )
 def test_public_rejections(call, message):
@@ -258,12 +270,12 @@ def test_evolution_ratio_hand_example():
     after = np.array([0.0, 1.5, 0.0])
     # interior change 0.5 against neighbor differences of 1.0; the measured
     # value sits one representation-noise allowance below and never above
-    ratio = evolution_ratio(before, after)
+    ratio = evolution_ratio(before, after, jumps_of(before))
     assert 0.5 - np.spacing(1.5) <= ratio <= 0.5
 
 
 def test_evolution_ratio_flat_before_is_zero():
-    assert evolution_ratio(np.zeros(5), np.zeros(5)) == 0.0
+    assert evolution_ratio(np.zeros(5), np.zeros(5), np.zeros(4)) == 0.0
 
 
 @st.composite
@@ -294,9 +306,24 @@ def stepped_pairs(draw):
 @given(stepped_pairs())
 def test_evolution_ratio_matches_scoring_every_node(pair):
     before, after = pair
-    expected = classical.evolution_ratio_every_node(before, after)
-    ratio = evolution_ratio(before, after)
+    # A step to near the largest float (an inf nudged by one ulp) can give
+    # a ratio beyond the float range: inf on both sides, and numpy warns.
+    with np.errstate(over="ignore"):
+        expected = classical.evolution_ratio_every_node(before, after)
+        ratio = evolution_ratio(before, after, jumps_of(before))
     assert np.array(ratio).tobytes() == np.array(expected).tobytes()
+
+
+def test_evolution_ratio_of_a_step_to_the_largest_float():
+    # The noise bound of the largest float is its spacing, 2**971; the
+    # spacing itself overflows there, and would read the change as noise.
+    top = np.finfo(np.float64).max
+    before = np.array([0.0, 2.0, 0.0])
+    ratio = evolution_ratio(before, np.array([0.0, -top, 0.0]), jumps_of(before))
+    assert ratio == (top - 2.0**971) / 2.0
+    with np.errstate(over="ignore"):
+        before = np.array([0.0, 0.5, 0.0])
+        assert evolution_ratio(before, np.array([0.0, top, 0.0]), jumps_of(before)) == np.inf
 
 
 def test_evolution_ratio_within_constant_on_short_run():
@@ -307,4 +334,4 @@ def test_evolution_ratio_within_constant_on_short_run():
     for kind in SchemeKind:
         out = scheme_step(kind, sol, ctx, prob)
         bound = evolution_constant(kind, 0.5)
-        assert evolution_ratio(sol.values, out.values) <= bound
+        assert evolution_ratio(sol.values, out.values, jumps_of(sol.values)) <= bound
