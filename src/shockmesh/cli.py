@@ -40,7 +40,6 @@ from .bounds import (
     BoundParams,
     _closed_form_table,
     extreme_bound_table,
-    total_increase_contribution,
     tv_increase_bound_from_contributions,
     tv_increase_bound_from_extremes,
     uniform_extreme_bound,
@@ -282,21 +281,17 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     header line and the text of all rows.
 
     Raises RuntimeError at the first failed check, so no line of a table
-    that fails is ever written. The uniform bound depends on m alone and,
-    for the constant increases ``cmd_theory`` builds, the contribution on
-    the age k - m alone, so each of those 2 * ``last_step`` texts is
-    formatted once, and all rows take one %-format.
+    that fails is ever written; each column's sums are checked as written.
+    The uniform bound depends on m alone and, for the constant increases
+    ``cmd_theory`` builds, the contribution on the age k - m alone, so each
+    of those 2 * ``last_step`` texts is formatted once, and all rows take
+    one %-format.
     """
     try:
         table = extreme_bound_table(params, last_step)
     except ValueError:
         raise RuntimeError("recursion leaves float64") from None
     uniform = [uniform_extreme_bound(params, m) for m in range(1, last_step + 1)]
-    envelope = (
-        params.variation_scale
-        * (1.0 - params.weak_coupling_sum)
-        / (1.0 - params.coupling_sum)
-    )
     b1 = tv_increase_bound_from_extremes(params)
     b2 = tv_increase_bound_from_contributions(params)
     slack = 1.0 + 1e-12
@@ -308,13 +303,12 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     clip = params.clip_factor
     coupling = params.coupling_sum
     increase = float(params.increases[0])
-    contribution_texts = [
-        "%.17g" % (clip * coupling**age * increase) for age in range(last_step)
-    ]
+    contributions = [clip * coupling**age * increase for age in range(last_step)]
+    contribution_texts = ["%.17g" % share for share in contributions]
     cells = []
     for k in range(1, last_step + 1):
         previous = math.inf
-        partial = 0.0
+        partial = alive = 0.0
         for m in range(1, k + 1):
             rec = values[m][k]
             closed = closed_forms[m][k]
@@ -328,10 +322,11 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
                 raise RuntimeError(f"uniform bound violated at m={m}, k={k}")
             previous = rec
             partial += rec
+            alive += contributions[k - m]
             cells += (m, k, rec, closed, uniform_texts[m - 1], contribution_texts[k - m], partial)
-        if table.column_sum(k) > envelope * slack:
+        if 2.0 * partial > b1 * slack:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
-        if 2.0 * total_increase_contribution(params, k) > b2 * slack:
+        if 2.0 * alive > b2 * slack:
             raise RuntimeError(f"contribution bound violated at k={k}")
     if not (math.isfinite(b1) and math.isfinite(b2)):
         raise RuntimeError("B1 or B2 leaves float64")

@@ -11,7 +11,6 @@ cannot advance the clock ends the run with an error before it is taken.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -228,7 +227,7 @@ def run_simulation(
 
     remaining = config.final_time
     step = 0
-    mesh = widths = None
+    mesh = widths = h_min = None
     report = _UNGUARDED
     while remaining > 0.0:
         step += 1
@@ -239,21 +238,21 @@ def run_simulation(
 
         overshoot, increase = measure_front(values, jumps, high, growth)
 
-        # Widths once per mesh object: once per run on a fixed mesh, once
-        # per step on an adaptive one.
+        # Widths and their minimum once per mesh object: once per run on a
+        # fixed mesh, once per step on an adaptive one. A width is zero
+        # when two cell interfaces of the reconstructed mesh round together.
         if current.mesh is not mesh:
             mesh = current.mesh
             widths = CellGeometry.from_mesh(mesh).widths
-        dt = choose_dt(current, config.problem, config.cfl_target, remaining, widths)
-        # dt = cfl * min(width) / speed: it fails to be positive when two
-        # cell interfaces of the reconstructed mesh round together, or when
-        # the product underflows on cells that all have a width.
-        if not (math.isfinite(dt) and dt > 0.0):
-            if dt == 0.0 and widths.min() > 0.0:
-                raise _Stalled("time step underflows")
-            raise RemeshError("reconstructed mesh has a cell of zero width")
+            h_min = float(np.minimum.reduce(widths))
+            if not h_min > 0.0:
+                raise RemeshError("reconstructed mesh has a cell of zero width")
+        dt = choose_dt(current, config.problem, config.cfl_target, remaining, h_min)
+        # dt = cfl * h_min / speed is 0 only when the product underflows.
         if remaining - dt == remaining:
-            raise _Stalled("time step below the clock's resolution")
+            raise _Stalled(
+                "time step underflows" if dt == 0.0 else "time step below the clock's resolution"
+            )
         ctx = _trusted(StepContext, dt=dt, cfl_target=config.cfl_target, cell_widths=widths)
         advanced = scheme_step(config.scheme, current, ctx, config.problem)
 

@@ -121,7 +121,7 @@ class CellGeometry:
     rely on to reduce to their classical uniform-mesh stencils without
     roundoff. ``from_mesh`` skips the public checks: midpoints of a valid
     mesh increase, unless two of them round together; the step loop turns
-    the zero width, and so zero dt, into a ``RemeshError``.
+    the zero width into a ``RemeshError``.
     """
 
     interfaces: np.ndarray
@@ -190,8 +190,10 @@ def make_jump_initial(mesh: Mesh, x0: float) -> GridSolution:
 
 
 def total_variation(values: np.ndarray) -> float:
-    """Sum of absolute differences of consecutive values."""
+    """Sum of absolute differences of consecutive values of a 1-D array."""
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"values must be a 1-D array, got shape {arr.shape}")
     if arr.size < 2:
         return 0.0
     return float(np.abs(arr[1:] - arr[:-1]).sum())
@@ -202,9 +204,12 @@ def detect_extremes(values: np.ndarray) -> np.ndarray:
 
     A node is a strict maximum when its value exceeds both neighbors, a
     strict minimum when both neighbors exceed it. Plateau edges are not
-    extremes. Endpoints are never reported.
+    extremes. Endpoints are never reported. Raises ``ValueError`` unless
+    ``values`` is 1-D.
     """
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"values must be a 1-D array, got shape {arr.shape}")
     if arr.size < 3:
         return np.empty(0, dtype=np.intp)
     left = arr[:-2]
@@ -222,8 +227,13 @@ def piecewise_linear_sample(
     Query points that coincide with a knot return that knot's value
     bitwise, and every sampled value is clipped to the range of its
     segment's endpoint values, so interpolation can never overshoot the
-    local data. Queries must lie inside [xs[0], xs[-1]].
+    local data. Queries must lie inside [xs[0], xs[-1]]. Raises
+    ``ValueError`` unless ``xs`` and ``ys`` are 1-D and of equal length.
     """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or ys.shape != xs.shape:
+        raise ValueError(f"xs and ys must be 1-D of equal length, got {xs.shape} and {ys.shape}")
     x_new = np.asarray(x_new, dtype=np.float64)
     idx = _interval_index(xs, x_new)
     return _sample_in_cells(ys, x_new, idx, xs[idx], xs[idx + 1])

@@ -154,9 +154,9 @@ def enforce_extreme_guard(
     factor = 1.0 + 3.0 * params.growth_constant
     walked = _walk(x_old, territories, nodes, factor)
     if walked is None:
-        mapped = _checked_mesh(_mapped(x_old, territories, nodes, factor)).nodes
-        _x, scores, _rounds, _corrections = _walk(x_old, territories, mapped, factor)
-        walked = mapped, scores, 1, int((mapped != nodes).sum())
+        mesh = _checked_mesh(_mapped(x_old, territories, nodes, factor))
+        _x, scores, _rounds, _corrections = _walk(x_old, territories, mesh.nodes, factor)
+        return mesh, _report(scores, 1, int((mesh.nodes != nodes).sum()))
     x_new, scores, rounds, corrections = walked
     return _checked_mesh(x_new), _report(scores, rounds, corrections)
 

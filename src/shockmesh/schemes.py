@@ -92,20 +92,20 @@ def choose_dt(
     problem: Problem,
     cfl_target: float,
     max_dt: float,
-    cell_widths: np.ndarray,
+    h_min: float,
 ) -> float:
-    """Largest dt meeting the CFL target on ``cell_widths``, capped at max_dt.
+    """Largest dt meeting the CFL target on cells ``h_min`` or wider, capped at max_dt.
 
     The wave speed is the max of |f'| over the nodal values, floored at
-    ``_SPEED_FLOOR`` to keep dt finite near rest states. ``cell_widths``
-    are the widths of the solution mesh's cells, as
+    ``_SPEED_FLOOR`` to keep dt finite near rest states. ``h_min`` is the
+    smallest width of the solution mesh's cells, as
     ``CellGeometry.from_mesh`` derives them.
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
     speeds = np.abs(problem.dflux(solution.values))
     speed = max(float(np.maximum.reduce(speeds)), _SPEED_FLOOR)
-    dt = cfl_target * float(np.minimum.reduce(cell_widths)) / speed
+    dt = cfl_target * h_min / speed
     return min(dt, max_dt)
 
 
@@ -136,11 +136,12 @@ def _maccormack_kernel(u, f, h, dt, problem):
     node; the final value is the mean of the input and the corrected
     predictor. Reduces to classical MacCormack on a uniform mesh.
     """
+    pair = h[:-1] + h[1:]
     u_pred = u.copy()
-    u_pred[:-1] = u[:-1] - 2.0 * dt * (f[1:] - f[:-1]) / (h[:-1] + h[1:])
+    u_pred[:-1] = u[:-1] - 2.0 * dt * (f[1:] - f[:-1]) / pair
     f_pred = problem.flux(u_pred)
     u_corr = u_pred.copy()
-    u_corr[1:] = u_pred[1:] - 2.0 * dt * (f_pred[1:] - f_pred[:-1]) / (h[:-1] + h[1:])
+    u_corr[1:] = u_pred[1:] - 2.0 * dt * (f_pred[1:] - f_pred[:-1]) / pair
     out = u.copy()
     out[1:-1] = 0.5 * (u[1:-1] + u_corr[1:-1])
     return out

@@ -809,11 +809,6 @@ def test_theory_table_leaving_float64_exits_four_without_output(
     assert capsys.readouterr().err == f"error: bound table failed its self-check: {message}\n"
 
 
-class _InflatedColumnSums(ExtremeBoundTable):
-    def column_sum(self, k):
-        return 10.0
-
-
 def _increasing_table(params, last_step):
     values = np.zeros((last_step + 1, last_step + 1))
     for k in range(1, last_step + 1):
@@ -835,20 +830,18 @@ def _increasing_table(params, last_step):
             {"uniform_extreme_bound": lambda p, m: 0.5 * bounds.uniform_extreme_bound(p, m)},
             "uniform bound violated at m=1, k=1",
         ),
+        # B1 = 7/3 and B2 = 1/3 here; the first column's partial sum and
+        # contribution are both 0.1.
         (
-            {
-                "extreme_bound_table": lambda p, n: _InflatedColumnSums(
-                    bounds.extreme_bound_table(p, n).values, n
-                ),
-            },
+            {"tv_increase_bound_from_extremes": lambda p: 0.1},
             "extreme-sum envelope violated at k=1",
         ),
         (
-            {"total_increase_contribution": lambda p, k: 1.0},
+            {"tv_increase_bound_from_contributions": lambda p: 0.1},
             "contribution bound violated at k=1",
         ),
         (
-            {"tv_increase_bound_from_extremes": lambda p: 0.0},
+            {"tv_increase_bound_from_contributions": lambda p: 3.0},
             "contribution bound exceeds extreme-sum bound",
         ),
     ],
@@ -863,6 +856,22 @@ def test_theory_each_self_check_exits_four_without_output(
     assert main([*THEORY_ARGV, str(out)]) == 4
     assert not out.exists()
     assert capsys.readouterr().err == f"error: bound table failed its self-check: {message}\n"
+
+
+def test_theory_checks_the_sums_it_writes(tmp_path, monkeypatch):
+    # The envelope and contribution checks read the written partial sums
+    # and contributions, not the library's own routes to the same sums.
+    argv = ["theory", "--lambda", "0.17", "--c", "0.9", "--m", "1.3", "--kmax", "25"]
+    assert main([*argv, str(tmp_path / "plain.csv")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("the bound table rebuilt a sum it writes")
+
+    monkeypatch.setattr(bounds.ExtremeBoundTable, "column_sum", refuse)
+    monkeypatch.setattr(bounds, "total_increase_contribution", refuse)
+    monkeypatch.setattr(cli, "total_increase_contribution", refuse, raising=False)
+    assert main([*argv, str(tmp_path / "patched.csv")]) == 0
+    assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 def snapshot_csv_lines(snapshots):

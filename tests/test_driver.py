@@ -14,6 +14,7 @@ from shockmesh import (
     BlowUpError,
     BoundParams,
     CellGeometry,
+    EstimatorParams,
     ExtremeGuardParams,
     ExtremeGuardReport,
     GridSolution,
@@ -24,11 +25,14 @@ from shockmesh import (
     RunConfig,
     SchemeKind,
     StepContext,
+    choose_dt,
     evolution_constant,
     evolution_ratio,
     front_window,
     measure_front,
+    remesh_step,
     run_simulation,
+    scheme_step,
     total_variation,
     tv_increase_bound_from_contributions,
     tv_increase_bound_from_extremes,
@@ -358,8 +362,9 @@ def test_zero_width_cell_is_a_remesh_error():
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed_mesh", "adaptive"])
 def test_cell_widths_are_built_once_per_mesh(monkeypatch, adaptive):
-    # A fixed mesh is one object for the whole run, so its widths are built
-    # once; an adaptive run builds a new mesh, and so new widths, every step.
+    # A fixed mesh is one object for the whole run, so its widths and their
+    # minimum are taken once; an adaptive run builds a new mesh, and so new
+    # widths, every step. choose_dt gets the minimum of the step's mesh.
     meshes = []
     real_from_mesh = CellGeometry.from_mesh
 
@@ -367,11 +372,25 @@ def test_cell_widths_are_built_once_per_mesh(monkeypatch, adaptive):
         meshes.append(mesh)
         return real_from_mesh(mesh)
 
+    given = []
+    real_choose_dt = driver.choose_dt
+
+    def spying(solution, problem, cfl_target, max_dt, h_min):
+        given.append((solution.mesh, h_min))
+        return real_choose_dt(solution, problem, cfl_target, max_dt, h_min)
+
     monkeypatch.setattr(CellGeometry, "from_mesh", counting)
+    monkeypatch.setattr(driver, "choose_dt", spying)
     result = run_simulation(small_config(adaptive=adaptive, final_time=0.1))
     assert result.steps > 5
     assert len(meshes) == (result.steps if adaptive else 1)
     assert len({id(mesh) for mesh in meshes}) == len(meshes)
+    expected = meshes if adaptive else meshes * result.steps
+    assert [id(mesh) for mesh, _ in given] == [id(mesh) for mesh in expected]
+    for mesh, h_min in given:
+        assert type(h_min) is float
+        assert h_min == min(real_from_mesh(mesh).widths)
+    assert len({id(h_min) for _, h_min in given}) == (result.steps if adaptive else 1)
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed_mesh", "adaptive"])
@@ -475,6 +494,55 @@ def test_step_loop_runs_no_public_validation(monkeypatch, adaptive):
     assert result.steps > 5
     # the initial mesh and the initial data only
     assert counts == {"Mesh": 1, "GridSolution": 1}
+
+
+@st.composite
+def multi_jump_states(draw):
+    """Piecewise-constant data with 1 to 5 jumps on a uniform mesh, and a
+    scheme, a problem and a CFL target to run it with."""
+    n = draw(st.integers(10, 64))
+    count = draw(st.integers(1, 5))
+    inside = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    positions = draw(st.lists(inside, min_size=count, max_size=count))
+    levels = draw(st.lists(st.floats(-100.0, 100.0), min_size=count + 1, max_size=count + 1))
+    mesh = Mesh.uniform(n)
+    values = np.array(levels)[np.searchsorted(np.sort(positions), mesh.nodes)]
+    cfl = draw(st.floats(0.0, 1.0, exclude_min=True))
+    scheme = draw(st.sampled_from(list(SchemeKind)))
+    pname = draw(st.sampled_from(["transport", "burgers"]))
+    return GridSolution(mesh, values), scheme, make_problem(pname), cfl
+
+
+@given(multi_jump_states())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_random_multi_jump_steps_raise_nothing_but_remesh_error(case):
+    # Thirty steps through the public stages in the step loop's order, with
+    # its zero-width, stall and blow-up exits. Any warning fails the test.
+    current, scheme, problem, cfl = case
+    growth = evolution_constant(scheme, cfl)
+    guard = ExtremeGuardParams(growth)
+    high = float(current.values.max())
+    try:
+        for _ in range(30):
+            current, _report = remesh_step(current, EstimatorParams(), guard)
+            values = current.values
+            jumps = np.abs(np.diff(values))
+            measure_front(values, jumps, high, growth)
+            widths = CellGeometry.from_mesh(current.mesh).widths
+            h_min = float(widths.min())
+            if not h_min > 0.0:
+                return
+            dt = choose_dt(current, problem, cfl, np.inf, h_min)
+            if dt == 0.0:
+                return
+            ctx = StepContext(dt=dt, cfl_target=cfl, cell_widths=widths)
+            advanced = scheme_step(scheme, current, ctx, problem)
+            if not np.abs(advanced.values).max() <= driver._MAGNITUDE_LIMIT:
+                return
+            evolution_ratio(values, advanced.values, jumps)
+            current = advanced
+    except RemeshError:
+        pass
 
 
 def test_grid_runs_complete_and_report_times(grid_runs):

@@ -11,6 +11,7 @@ from shockmesh import (
     burgers_problem,
     detect_extremes,
     make_jump_initial,
+    piecewise_linear_sample,
     total_variation,
     transport_problem,
 )
@@ -133,3 +134,40 @@ def test_detect_extremes_monotone_is_empty():
     for short in ([], [1.0], [0.0, 1.0]):
         found = detect_extremes(np.array(short))
         assert found.size == 0 and found.dtype == np.intp
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: total_variation(np.array([[0.0, 1.0], [5.0, 0.0]])), "1-D array"),
+        (lambda: total_variation(np.array(3.0)), "1-D array"),
+        (lambda: detect_extremes([[0.0, 1.0, 0.0]]), "1-D array"),
+        (lambda: detect_extremes(np.array(1.0)), "1-D array"),
+        (
+            lambda: piecewise_linear_sample(
+                np.array([[0.0, 1.0]]), np.array([[0.0, 1.0]]), np.array([0.5])
+            ),
+            "1-D of equal length",
+        ),
+        (
+            lambda: piecewise_linear_sample([0.0, 1.0], [0.0, 1.0, 7.0], [0.5]),
+            "1-D of equal length",
+        ),
+        (
+            lambda: piecewise_linear_sample([0.0, 0.5, 1.0], [0.0, 1.0], [0.5]),
+            "1-D of equal length",
+        ),
+    ],
+    ids=[
+        "tv_2d",
+        "tv_0d",
+        "extremes_2d",
+        "extremes_0d",
+        "sample_2d",
+        "sample_longer_ys",
+        "sample_shorter_ys",
+    ],
+)
+def test_measures_and_sampler_reject_malformed_arrays(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

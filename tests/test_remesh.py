@@ -50,6 +50,7 @@ def test_sample_midpoint_is_mean():
     xs = np.array([0.0, 1.0])
     ys = np.array([2.0, 6.0])
     assert piecewise_linear_sample(xs, ys, np.array([0.5]))[0] == 4.0
+    assert piecewise_linear_sample([0.0, 1.0], [2.0, 6.0], [0.5])[0] == 4.0
 
 
 @given(
@@ -543,22 +544,33 @@ def test_guard_matches_full_rescan_on_a_collapsing_run(monkeypatch):
     # collapses two nodes in the guard call after step 176, where the map
     # takes over and the run completes. Every guard call must agree with the
     # full-rescan reference, or with the map reference where that collapses.
+    # Each call, mapping or not, checks its output mesh once.
     run_settings = parse_config(
         "problem = burgers\nscheme = richtmyer\nn = 1600\ncfl = 0.5\n"
         "t_final = 0.006\nx0 = 0.42883192254392677\n"
     )
     mapped = []
+    checks = []
+    real_checked_mesh = remesh._checked_mesh
+
+    def counting(nodes):
+        checks[-1] += 1
+        return real_checked_mesh(nodes)
 
     def checked(old, proposed, params):
         paths = set()
+        checks.append(0)
         assert_guard_matches_full_rescan(old, proposed, params, paths)
         mapped.append("map" in paths)
+        checks[-1] = 0
         return enforce_extreme_guard(old, proposed, params)
 
     monkeypatch.setattr(remesh, "enforce_extreme_guard", checked)
+    monkeypatch.setattr(remesh, "_checked_mesh", counting)
     result = run_simulation(build_run_config(run_settings))
     assert len(mapped) == len(result.records) > 177
     assert mapped.index(True) == 176
+    assert checks == [1] * len(mapped)
 
 
 @st.composite
