@@ -228,12 +228,15 @@ def piecewise_linear_sample(
     bitwise, and every sampled value is clipped to the range of its
     segment's endpoint values, so interpolation can never overshoot the
     local data. Queries must lie inside [xs[0], xs[-1]]. Raises
-    ``ValueError`` unless ``xs`` and ``ys`` are 1-D and of equal length.
+    ``ValueError`` unless ``xs`` and ``ys`` are 1-D and of equal length,
+    with at least two knots.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.ndim != 1 or ys.shape != xs.shape:
         raise ValueError(f"xs and ys must be 1-D of equal length, got {xs.shape} and {ys.shape}")
+    if xs.size < 2:
+        raise ValueError(f"xs must hold at least two knots, got {xs.size}")
     x_new = np.asarray(x_new, dtype=np.float64)
     idx = _interval_index(xs, x_new)
     return _sample_in_cells(ys, x_new, idx, xs[idx], xs[idx + 1])

@@ -127,12 +127,10 @@ def enforce_extreme_guard(
 ) -> tuple[Mesh, ExtremeGuardReport]:
     """Nudge proposed nodes away from old extremes until all scores < 1.
 
-    Only nodes next to an old extreme can score. Each maximal run of
-    consecutive old extremes x_first..x_last owns the territory
-    [x_{first-1}, x_{last+1}), the old intervals with an extreme end, and
-    one ``searchsorted`` finds the proposed interior nodes inside it.
-    ``_walk`` scores each such node and walks every one that scores 1 or
-    more alone until it scores below 1; ``rounds`` is the longest walk and
+    Only nodes next to an old extreme can score: the proposed interior
+    nodes inside the territories that ``_territories`` defines. ``_walk``
+    scores each such node and walks every one that scores 1 or more alone
+    until it scores below 1; ``rounds`` is the longest walk and
     ``corrections`` the sum of the walk lengths. Where the walks collapse
     two nodes, or a walker reaches the move cap, the proposal is instead
     mapped onto the compliant slivers (``_mapped``) and the mapped nodes are
@@ -210,7 +208,7 @@ def _walk(
     increasing, a walked coordinate has landed on another node. The result
     is then ``None``, as it is at once when a walker reaches the move cap.
     Only the territories a walker moved in are sorted: territories do not
-    overlap, and a walker stays in [x_{first-1}, x_{last+1}], so this is
+    overlap and a walker stays in its own or on its right end, so this is
     bitwise the full sort, and it leaves nodes already in order as they are.
 
     A node's cell (its width and which of its ends are extremes) is set up
@@ -220,11 +218,9 @@ def _walk(
     longest walk and the sum of the walk lengths; ``nodes`` itself when no
     node walks.
     """
-    xs = []
-    scores = []
-    walkers = []
-    ends = []
-    lengths = []
+    pairs = []
+    x_new = None
+    rounds = corrections = 0
     moved_in = {}
     for k, (first, last, start, stop) in enumerate(territories):
         knots = x_old[first - 1 : last + 2].tolist()
@@ -238,7 +234,7 @@ def _walk(
             while True:
                 if not xl <= xj < xr:
                     cell = bisect_right(knots, xj) - 1
-                    cell = 0 if cell < 0 else top if cell > top else cell
+                    cell = top if cell > top else cell
                     xl = knots[cell]
                     xr = knots[cell + 1]
                     width = xr - xl
@@ -269,25 +265,23 @@ def _walk(
                 xj = moved
                 moves += 1
             if moves:
-                walkers.append(j)
-                ends.append(xj)
-                lengths.append(moves)
+                if x_new is None:
+                    x_new = nodes.copy()
+                x_new[j] = xj
+                rounds = max(rounds, moves)
+                corrections += moves
                 moved_in[start] = stop
             if leaves and xj >= knots[-1]:
                 continue
-            xs.append(xj)
-            scores.append(score)
-    if not walkers:
-        return nodes, scores, 0, 0
-    x_new = nodes.copy()
-    x_new[walkers] = ends
+            pairs.append((xj, score))
+    if x_new is None:
+        return nodes, [score for _x, score in pairs], 0, 0
     for start, stop in moved_in.items():
         x_new[start:stop].sort()
     # Only a walked coordinate can land on another node.
     if not np.logical_and.reduce(x_new[1:] > x_new[:-1]):
         return None
-    scores = [score for _x, score in sorted(zip(xs, scores))]
-    return x_new, scores, max(lengths), sum(lengths)
+    return x_new, [score for _x, score in sorted(pairs)], rounds, corrections
 
 
 def _mapped(

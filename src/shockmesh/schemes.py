@@ -176,7 +176,10 @@ def scheme_step(
     h = ctx.cell_widths
     if h.size != u.size:
         raise ValueError("cell widths must match the solution size")
-    out = _KERNELS[kind](u, problem.flux(u), h, ctx.dt, problem)
+    kernel = _KERNELS.get(kind)
+    if kernel is None:
+        raise ValueError(f"unknown scheme kind: {kind!r}")
+    out = kernel(u, problem.flux(u), h, ctx.dt, problem)
     return _trusted(GridSolution, mesh=solution.mesh, values=out)
 
 

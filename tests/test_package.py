@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import shockmesh
 from shockmesh import bounds, cli, driver, grid, monitor, remesh, schemes
@@ -138,3 +139,29 @@ def test_measure_front_finds_the_front_once(monkeypatch):
     jumps = np.abs(np.diff(values))
     assert driver.measure_front(values, jumps, 1.0, 0.5) == (0.25, 0.0)
     assert len(calls) == 1 and calls[0][0] is jumps
+
+
+def step_with_kind(kind):
+    """One scheme step of a small Burgers state, with ``kind`` as the scheme."""
+    mesh = grid.Mesh.uniform(5)
+    widths = grid.CellGeometry.from_mesh(mesh).widths
+    ctx = schemes.StepContext(dt=0.01, cfl_target=0.5, cell_widths=widths)
+    solution = grid.GridSolution(mesh, np.zeros(5))
+    return schemes.scheme_step(kind, solution, ctx, grid.burgers_problem())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: grid.piecewise_linear_sample([], [], [0.5]), "at least two knots"),
+        (lambda: grid.piecewise_linear_sample([0.0], [1.0], [0.0]), "at least two knots"),
+        (lambda: step_with_kind("ftcs"), "unknown scheme kind: 'ftcs'"),
+    ],
+    ids=["sample_no_knots", "sample_one_knot", "step_unknown_kind"],
+)
+def test_bad_arguments_raise_value_error(call, message):
+    # not an IndexError, a KeyError or numpy's divide warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -606,6 +606,161 @@ def test_collapse_map_keeps_order_and_the_margin(case):
         assert np.array(scores).tobytes() == expected.tobytes()
 
 
+def assert_guard_contracts(old, proposed, params):
+    """Check the guard's guarantees on one call, from its outputs alone.
+
+    Whatever the call does, it runs ``detect_extremes`` once. Unless it
+    raises ``RemeshError``:
+    - the output nodes are finite and strictly increasing;
+    - both end nodes, and every node outside all territories, are bitwise
+      the proposal's. The territories together are the old intervals with
+      a strict extreme at one end, found here from ``detect_extremes``;
+    - every reported score is below 1, the maximum and mean score are
+      those of an independent rescoring of the output, and rounds and
+      corrections read 0 exactly when the output is the proposal;
+    - a second call on the output returns it bitwise, with rounds 0 and
+      corrections 0.
+
+    Returns the call's outcome: its result, or the ``RemeshError`` raised.
+    """
+    detects = []
+
+    def counted(values):
+        detects.append(1)
+        return detect_extremes(values)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(remesh, "detect_extremes", counted)
+        outcome = guard_outcome(enforce_extreme_guard, old, proposed, params)
+    assert len(detects) == 1
+    if isinstance(outcome, RemeshError):
+        return outcome
+    mesh, report = outcome
+    nodes = mesh.nodes
+    assert np.isfinite(nodes).all() and (nodes[1:] > nodes[:-1]).all()
+
+    x_old = old.mesh.nodes
+    extreme = extreme_mask(old)
+    cell = np.clip(x_old.searchsorted(proposed.nodes, "right") - 1, 0, x_old.size - 2)
+    kept = ~(extreme[cell] | extreme[cell + 1])
+    kept[[0, -1]] = True
+    assert nodes[kept].tobytes() == proposed.nodes[kept].tobytes()
+
+    _indices, scores = classical.proximity_scores_reference(
+        x_old, extreme, nodes, params.growth_constant
+    )
+    max_score = float(scores.max()) if scores.size else 0.0
+    mean_score = float(np.add.reduce(scores) / scores.size) if scores.size else 0.0
+    assert report.max_score < 1.0
+    assert report.max_score.hex() == max_score.hex()
+    assert report.mean_score.hex() == mean_score.hex()
+    moved = nodes.tobytes() != proposed.nodes.tobytes()
+    assert (report.rounds > 0, report.corrections > 0) == (moved, moved)
+
+    again, second = enforce_extreme_guard(old, mesh, params)
+    assert again.nodes.tobytes() == nodes.tobytes()
+    assert (second.rounds, second.corrections) == (0, 0)
+    return outcome
+
+
+def checked_against_contracts(old, proposed, params, walk):
+    """``assert_guard_contracts`` with the walk constants ``walk`` patched in.
+
+    A guard without those module constants gets them as unused attributes,
+    so the same inputs keep running whatever the guard's implementation.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in walk.items():
+            patch.setattr(remesh, name, value, raising=False)
+        return assert_guard_contracts(old, proposed, params)
+
+
+def test_guard_contracts_on_guard_cases():
+    seen = set()
+
+    @given(guard_cases())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        outcome = checked_against_contracts(*case)
+        if isinstance(outcome, RemeshError):
+            seen.add(RemeshError)
+        else:
+            seen.add("moved" if outcome[1].corrections else "kept")
+
+    check()
+    assert {"moved", "kept", RemeshError} <= seen
+
+
+def contract_cases():
+    """The fixed inputs of the walk-pinning tests, as (old, proposed, params, walk)."""
+    cases = {
+        "peak_walk": (
+            peaked_solution(),
+            Mesh(np.array([-1.0, 0.5, 2.0])),
+            ExtremeGuardParams(1.0),
+            {},
+        ),
+        "on_extreme": (
+            peaked_solution(),
+            Mesh(np.array([-1.0, 0.0, 2.0])),
+            ExtremeGuardParams(0.0),
+            {},
+        ),
+        "two_dual_intervals": (
+            GridSolution(
+                Mesh(np.array([0.0, 0.2, 0.4, 0.6, 0.8, 1.0])),
+                np.array([0.0, 1.0, 0.1, 1.5, 0.2, 0.0]),
+            ),
+            Mesh(np.array([0.0, 0.3, 0.45, 0.55, 1.0])),
+            ExtremeGuardParams(1.0),
+            {},
+        ),
+        "zigzag_of_sixty": (
+            zigzag_of_sixty(),
+            Mesh(np.array([0.0, 1.05, 61.0])),
+            ExtremeGuardParams(1.0),
+            {},
+        ),
+        "large_c": (
+            GridSolution(Mesh(np.arange(4.0)), np.array([0.0, 1.0, 0.0, 0.0])),
+            Mesh(np.array([0.0, 1.0, 2.5, 3.0])),
+            ExtremeGuardParams(1e14),
+            {},
+        ),
+    }
+    return {**cases, **rare_guard_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(contract_cases()))
+def test_guard_contracts_on_fixed_cases(name):
+    checked_against_contracts(*contract_cases()[name])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # the walk collapses two nodes after step 176, and the map takes over
+        "problem = burgers\nscheme = richtmyer\nn = 1600\ncfl = 0.5\n"
+        "t_final = 0.006\nx0 = 0.42883192254392677\n",
+        # the walk collapses two nodes after step 49
+        "problem = burgers\nscheme = richtmyer\nn = 100\ncfl = 0.3\n"
+        "t_final = 0.02\nx0 = 0.49345368022869700\n",
+    ],
+    ids=["collapsing_n1600", "collapsing_n100"],
+)
+def test_guard_contracts_on_replayed_runs(monkeypatch, config):
+    outcomes = []
+
+    def checked(old, proposed, params):
+        outcomes.append(assert_guard_contracts(old, proposed, params))
+        return enforce_extreme_guard(old, proposed, params)
+
+    monkeypatch.setattr(remesh, "enforce_extreme_guard", checked)
+    result = run_simulation(build_run_config(parse_config(config)))
+    assert len(outcomes) == result.steps > 50
+    assert not any(isinstance(outcome, RemeshError) for outcome in outcomes)
+
+
 @pytest.mark.parametrize("growth_constant", [-1.0, np.nan, np.inf, 1e308])
 def test_guard_params_validation(growth_constant):
     # 1 + 3C overflows for C = 1e308: every node next to an extreme would
