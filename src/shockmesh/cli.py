@@ -16,8 +16,9 @@ cannot be written, or a run too large for memory (every file and directory
 the run created is removed again), 3 runtime blow-up (partial outputs are
 kept), 4 a failed mesh reconstruction or a time step that cannot advance
 the clock (manifest only) or a bound table that failed its self-check (no
-file). All numbers are serialized with 17
-significant digits, so the CSV outputs of identical configurations are
+file). All numbers are serialized as '%.17g'
+writes them (adaptive snapshot rows by an exact numpy kernel in
+``snapshots``), so the CSV outputs of identical configurations are
 byte-identical.
 """
 

@@ -99,10 +99,13 @@ def choose_dt(
     The wave speed is the max of |f'| over the nodal values, floored at
     ``_SPEED_FLOOR`` to keep dt finite near rest states. ``h_min`` is the
     smallest width of the solution mesh's cells, as
-    ``CellGeometry.from_mesh`` derives them.
+    ``CellGeometry.from_mesh`` derives them; it must be positive and
+    finite, or ValueError is raised.
     """
     if not (0.0 < cfl_target <= 1.0):
         raise ValueError("cfl_target must lie in (0, 1]")
+    if not (0.0 < h_min < np.inf):
+        raise ValueError("h_min must be positive and finite")
     speeds = np.abs(problem.dflux(solution.values))
     speed = max(float(np.maximum.reduce(speeds)), _SPEED_FLOOR)
     dt = cfl_target * h_min / speed

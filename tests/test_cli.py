@@ -34,7 +34,7 @@ from shockmesh import (
 )
 from shockmesh.cli import _tv_series_lines, build_run_config, main, parse_config
 from shockmesh.grid import _trusted
-from shockmesh.snapshots import snapshot_lines, spill_hook
+from shockmesh.snapshots import _CHUNK_ROWS, _format_17g, snapshot_lines, spill_hook
 
 from conftest import GRID_FINAL_TIME
 
@@ -1078,6 +1078,82 @@ def test_simulate_fixed_mesh_blow_up_snapshots_match_per_value_formatting(
     assert rc == 3
     written = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
     assert written == per_value_lines(kept_steps(seen))
+
+
+@pytest.mark.parametrize(
+    "scheme, problem",
+    [(kind.value, problem) for kind in SchemeKind for problem in ("transport", "burgers")],
+)
+@pytest.mark.parametrize("n", [64, _CHUNK_ROWS // 3 + 1], ids=["n64", "straddling"])
+def test_simulate_adaptive_snapshots_match_per_value_formatting(
+    tmp_path, monkeypatch, scheme, problem, n
+):
+    # Every kept block has a mesh of its own, so all go through the kernel;
+    # at the larger n a chunk holds two blocks and a third starts the next.
+    text = (
+        f"problem = {problem}\nscheme = {scheme}\nn = {n}\ncfl = 0.5\n"
+        "t_final = 0.02\nadaptive = true\n"
+    )
+    rc, seen = run_collecting(monkeypatch, tmp_path, text)
+    assert rc in (0, 3)
+    kept = kept_steps(seen)
+    assert len({id(solution.mesh) for _, _, solution in kept}) == len(kept)
+    written = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
+    assert written == per_value_lines(kept)
+
+
+def kernel_texts(values):
+    return [bytes(row[row != 0]).decode("ascii") for row in _format_17g(np.asarray(values))]
+
+
+def assert_kernel_exact(values):
+    values = np.asarray(values, dtype=np.float64)
+    expected = [fmt(value) for value in values.tolist()]
+    assert kernel_texts(values) == expected
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=20))
+def test_format_17g_matches_percent_format_on_any_floats(values):
+    assert_kernel_exact(values + [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+
+
+def test_format_17g_matches_percent_format_on_random_bit_patterns():
+    bits = np.random.default_rng(37).integers(0, 2**64, 200_000, dtype=np.uint64)
+    assert_kernel_exact(bits.view(np.float64))
+
+
+def neighbours(value, ulps):
+    """``value`` and the ``ulps`` doubles on either side of it."""
+    below = above = value
+    out = [value]
+    for _ in range(ulps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def test_format_17g_matches_percent_format_at_its_edges():
+    edges = []
+    for power in range(-8, 18):
+        edges += neighbours(float(f"1e{power}"), 5)
+    # The kernel's range ends, whose own doubles lie on either side of them.
+    for edge in (1e-6, 10.0):
+        edges += neighbours(edge, 50)
+    # Values that round up to the next decade, and those just below them.
+    for power in range(0, 9):
+        edges += neighbours(float(f"9.9999999999999995e-{power}"), 3)
+        edges += neighbours(float(f"9.99999999999999999e-{power}"), 3)
+    # Ties: m / 2**(17 - E) with m odd has 18 significant digits, the last
+    # a 5, in decade E.
+    rng = np.random.default_rng(7)
+    for decade in range(-7, 2):
+        shift = 17 - decade
+        low, high = math.ceil(10.0**decade * 2**shift), int(10.0 ** (decade + 1) * 2**shift)
+        ties = [m / 2.0**shift for m in (rng.integers(low, high, 500) | 1).tolist()]
+        edges += ties
+    assert_kernel_exact(edges + [-value for value in edges])
 
 
 def test_tv_series_lines_match_per_value_formatting():

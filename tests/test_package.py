@@ -150,14 +150,28 @@ def step_with_kind(kind):
     return schemes.scheme_step(kind, solution, ctx, grid.burgers_problem())
 
 
+def choose_dt_with_h_min(h_min):
+    """``choose_dt`` on a 5-node zero transport state with ``h_min`` as given."""
+    solution = grid.GridSolution(grid.Mesh.uniform(5), np.zeros(5))
+    return schemes.choose_dt(solution, grid.transport_problem(), 0.5, 1.0, h_min)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: grid.piecewise_linear_sample([], [], [0.5]), "at least two knots"),
         (lambda: grid.piecewise_linear_sample([0.0], [1.0], [0.0]), "at least two knots"),
         (lambda: step_with_kind("ftcs"), "unknown scheme kind: 'ftcs'"),
+        *[
+            (lambda h_min=h_min: choose_dt_with_h_min(h_min), "h_min must be positive")
+            for h_min in (-0.1, 0.0, -0.0, float("nan"), float("inf"))
+        ],
     ],
-    ids=["sample_no_knots", "sample_one_knot", "step_unknown_kind"],
+    ids=[
+        "sample_no_knots", "sample_one_knot", "step_unknown_kind",
+        "dt_negative_h_min", "dt_zero_h_min", "dt_negative_zero_h_min", "dt_nan_h_min",
+        "dt_infinite_h_min",
+    ],
 )
 def test_bad_arguments_raise_value_error(call, message):
     # not an IndexError, a KeyError or numpy's divide warning
