@@ -17,7 +17,6 @@ import io
 import math
 from collections import Counter
 from collections.abc import Iterator
-from fractions import Fraction
 from itertools import chain, groupby
 from typing import BinaryIO
 
@@ -60,7 +59,8 @@ _FIELD = 32
 _CHUNK_ROWS = 2048
 
 # The four ASCII digits of 0..9999, then the same with trailing zeros as NUL.
-_DIGITS = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+_PLACES = np.array([1000, 100, 10, 1], np.uint16)
+_DIGITS = (np.arange(10000, dtype=np.uint16)[:, None] // _PLACES % 10 + 48).astype(np.uint8)
 _TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 48, axis=1)[:, ::-1]
 _GROUPS = np.concatenate([_DIGITS, np.where(_TRAILING, 0, _DIGITS)]).view(np.uint32).ravel()
 # The first 8 bytes of a number with sign s, decade 10**-k (k = 0..6), first
@@ -84,8 +84,11 @@ _EXPONENTS = np.frombuffer(b"\0" * 20 + b"e-05e-06", np.uint32)
 
 def _at_or_above(power: int) -> float:
     """The smallest double whose exact value is 10**power or more."""
-    bound = float(Fraction(10) ** power)
-    return bound if Fraction(bound) >= Fraction(10) ** power else math.nextafter(bound, math.inf)
+    bound = float(f"1e{power}")
+    numerator, denominator = bound.as_integer_ratio()
+    if numerator * 10 ** max(-power, 0) < denominator * 10 ** max(power, 0):
+        bound = math.nextafter(bound, math.inf)
+    return bound
 
 
 # A double's decade E = -6..0 is its bin among these bounds, settled on its
@@ -180,7 +183,9 @@ def _padded(texts: list[bytes]) -> np.ndarray:
     )
 
 
-def _lone_blocks(blocks: list[tuple[bytes, np.ndarray, np.ndarray]], node_index: np.ndarray) -> str:
+def _lone_blocks(
+    blocks: list[tuple[bytes, np.ndarray, np.ndarray]], node_index: np.ndarray
+) -> str:
     """The rows of blocks given as (prefix, nodes, values), as one text.
 
     Every row is assembled in one uint8 matrix, NUL-padded field by field,
