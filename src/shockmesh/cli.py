@@ -17,9 +17,9 @@ the run created is removed again), 3 runtime blow-up (partial outputs are
 kept), 4 a failed mesh reconstruction or a time step that cannot advance
 the clock (manifest only) or a bound table that failed its self-check (no
 file). All numbers are serialized as '%.17g'
-writes them (adaptive snapshot rows by an exact numpy kernel in
-``snapshots``), so the CSV outputs of identical configurations are
-byte-identical.
+writes them (adaptive snapshot rows and the bound table's rows by an exact
+numpy kernel in ``snapshots``), so the CSV outputs of identical
+configurations are byte-identical.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .grid import burgers_problem, transport_problem
 from .monitor import EstimatorParams
 from .remesh import RemeshError
 from .schemes import SchemeKind
-from .snapshots import snapshot_lines, spill_hook
+from .snapshots import _padded, _text_rows, snapshot_lines, spill_hook
 
 __all__ = ["parse_config", "build_run_config", "main"]
 
@@ -285,8 +285,9 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     that fails is ever written; each column's sums are checked as written.
     The uniform bound depends on m alone and, for the constant increases
     ``cmd_theory`` builds, the contribution on the age k - m alone, so each
-    of those 2 * ``last_step`` texts is formatted once, and all rows take
-    one %-format.
+    of those 2 * ``last_step`` texts is formatted once. The rows are
+    assembled by ``snapshots._text_rows``, whose '%.17g' kernel writes the
+    recursion, closed form and partial sum of each.
     """
     try:
         table = extreme_bound_table(params, last_step)
@@ -296,17 +297,16 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
     b1 = tv_increase_bound_from_extremes(params)
     b2 = tv_increase_bound_from_contributions(params)
     slack = 1.0 + 1e-12
+    closed_table = _closed_form_table(params, last_step)
     values = table.values.tolist()
-    closed_forms = _closed_form_table(params, last_step).tolist()
-    uniform_texts = ["%.17g" % bound for bound in uniform]
+    closed_forms = closed_table.tolist()
     # The share of the step-m increase a_m still alive at step k,
     # clip * coupling**(k - m) * a_m, from plain floats.
     clip = params.clip_factor
     coupling = params.coupling_sum
     increase = float(params.increases[0])
     contributions = [clip * coupling**age * increase for age in range(last_step)]
-    contribution_texts = ["%.17g" % share for share in contributions]
-    cells = []
+    partials = []
     for k in range(1, last_step + 1):
         previous = math.inf
         partial = alive = 0.0
@@ -324,7 +324,7 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
             previous = rec
             partial += rec
             alive += contributions[k - m]
-            cells += (m, k, rec, closed, uniform_texts[m - 1], contribution_texts[k - m], partial)
+            partials.append(partial)
         if 2.0 * partial > b1 * slack:
             raise RuntimeError(f"extreme-sum envelope violated at k={k}")
         if 2.0 * alive > b2 * slack:
@@ -333,8 +333,26 @@ def _bound_table_lines(params: BoundParams, last_step: int) -> list[str]:
         raise RuntimeError("B1 or B2 leaves float64")
     if b2 > b1:
         raise RuntimeError("contribution bound exceeds extreme-sum bound")
-    row = "%d,%d,%.17g,%.17g,%s,%s,%.17g," + "%.17g,%.17g" % (b1, b2)
-    rows = "\n".join([row] * (last_step * (last_step + 1) // 2)) % tuple(cells)
+    # The rows in order, k = 1..last_step and m = 1..k; the recursion and
+    # closed form written are the entries checked above.
+    k, m = np.tril_indices(last_step)
+    k += 1
+    m += 1
+    integers = _padded([b"%d," % i for i in range(last_step + 1)])
+    rows = _text_rows(
+        [
+            integers[m],
+            integers[k],
+            table.values[m, k],
+            b",",
+            closed_table[m, k],
+            b",",
+            _padded([b"%.17g," % bound for bound in uniform])[m - 1],
+            _padded([b"%.17g," % share for share in contributions])[k - m],
+            np.array(partials),
+            b",%.17g,%.17g" % (b1, b2),
+        ]
+    )
     return ["m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2", rows]
 
 

@@ -12,8 +12,9 @@ diagnostics, one pass each over the front window, are what the package's
 one-pass front measurement must match bitwise. The bound references are
 the step recurrence, binomial closed form and contribution sum as written
 on numpy scalars, which the package's plain-float forms must match
-bitwise, and the share of one increase that is still alive at a later
-step. The last helpers measure how far the transfer clips each old
+bitwise, the share of one increase that is still alive at a later step,
+and the bound table's rows formatted one plain %-format at a time. The last
+helpers measure how far the transfer clips each old
 extreme, a state's CFL number, and spot-check a flux for convexity.
 """
 
@@ -375,6 +376,38 @@ def total_increase_contribution_reference(params, k):
     for m in range(1, k + 1):
         total += params.coupling_sum ** (k - m) * increase_at(params, m)
     return params.clip_factor * total
+
+
+def bound_table_rows_reference(params, recursion, closed_form, uniform, b1, b2):
+    """The bound table's rows, one plain %-format per row.
+
+    Row (m, k), k = 1..n and m = 1..k for an (n + 1) x (n + 1) ``recursion``
+    table: m, k, the recursion and closed form at (m, k), the uniform bound
+    of step m (``uniform[m - 1]``) and the share of a_m alive at step k as
+    '%.17g' texts, the running sum of column k's recursion entries, B1 and
+    B2.
+    """
+    rows = []
+    for k in range(1, recursion.shape[1]):
+        partial = 0.0
+        for m in range(1, k + 1):
+            rec = float(recursion[m, k])
+            partial += rec
+            rows.append(
+                "%d,%d,%.17g,%.17g,%s,%s,%.17g,%.17g,%.17g"
+                % (
+                    m,
+                    k,
+                    rec,
+                    float(closed_form[m, k]),
+                    "%.17g" % uniform[m - 1],
+                    "%.17g" % increase_contribution(params, m, k),
+                    partial,
+                    b1,
+                    b2,
+                )
+            )
+    return rows
 
 
 def extreme_clipping_residuals(old, new):

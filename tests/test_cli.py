@@ -1,6 +1,7 @@
 """Command-line harness: config parsing, outputs, exit codes."""
 
 import errno
+import fractions
 import gc
 import io
 import json
@@ -22,6 +23,7 @@ import classical
 import shockmesh.bounds as bounds
 import shockmesh.cli as cli
 import shockmesh.remesh as remesh
+import shockmesh.snapshots as snapshots
 from shockmesh import (
     BoundParams,
     ExtremeBoundTable,
@@ -874,6 +876,48 @@ def test_theory_checks_the_sums_it_writes(tmp_path, monkeypatch):
     assert (tmp_path / "patched.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+def theory_params(clip_factor, growth, scale, last_step):
+    """The parameters that ``cmd_theory`` builds from its arguments."""
+    return BoundParams(
+        clip_factor=clip_factor,
+        growth_constant=growth,
+        variation_scale=scale,
+        increases=np.full(last_step, growth * scale),
+    )
+
+
+# (lambda, c, m) and what the kmax-60 table's seven float fields per row
+# hold: exact zeros, subnormals and entries of 10 or more, which the '%.17g'
+# kernel hands to Python.
+THEORY_DRAWS = {
+    "benchmark": ((0.2, 1.0, 1.0), (0, 0, 0)),
+    "subnormal": ((1e-6, 0.1, 1.0), (336, 159, 0)),
+    "large": ((0.2, 1.0, 100.0), (0, 0, 6237)),
+}
+
+
+@pytest.mark.parametrize("last_step", [1, 2, 60])
+@pytest.mark.parametrize("draw", list(THEORY_DRAWS))
+def test_bound_table_rows_match_per_row_formatting(draw, last_step):
+    (clip_factor, growth, scale), counts = THEORY_DRAWS[draw]
+    params = theory_params(clip_factor, growth, scale, last_step)
+    header, rows = cli._bound_table_lines(params, last_step)
+    expected = classical.bound_table_rows_reference(
+        params,
+        bounds.extreme_bound_table(params, last_step).values,
+        bounds._closed_form_table(params, last_step),
+        [bounds.uniform_extreme_bound(params, m) for m in range(1, last_step + 1)],
+        bounds.tv_increase_bound_from_extremes(params),
+        bounds.tv_increase_bound_from_contributions(params),
+    )
+    assert header == "m,k,E_recursion,E_closed_form,uniform_bound,contribution,partial_sum,B1,B2"
+    assert rows == "\n".join(expected)
+    if last_step == 60:
+        written = np.abs([float(field) for row in expected for field in row.split(",")[2:]])
+        subnormal = (written > 0.0) & (written < 2.2250738585072014e-308)
+        assert ((written == 0.0).sum(), subnormal.sum(), (written >= 10.0).sum()) == counts
+
+
 def snapshot_csv_lines(snapshots):
     """The snapshots.csv lines of (step, time, solution) triples, written
     through the CLI's spill hook and read back by ``snapshot_lines``."""
@@ -1102,6 +1146,30 @@ def test_simulate_adaptive_snapshots_match_per_value_formatting(
     assert written == per_value_lines(kept)
 
 
+@pytest.mark.parametrize("n", [_CHUNK_ROWS + 1, 5000])
+def test_snapshot_lines_split_a_large_block_at_the_chunk_size(monkeypatch, n):
+    # Every block has a mesh of its own and more rows than a chunk, so each
+    # column's kernel calls are split at _CHUNK_ROWS values.
+    rng = np.random.default_rng(n)
+    sizes = []
+    real_kernel = snapshots._format_17g
+
+    def counting_kernel(values):
+        sizes.append(values.size)
+        return real_kernel(values)
+
+    monkeypatch.setattr(snapshots, "_format_17g", counting_kernel)
+    blocks = []
+    for step in range(3):
+        nodes = np.sort(rng.uniform(0.0, 1.0, n))
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-320.0, 3.0, n)
+        values[:3] = (0.0, -0.0, 5e-324)
+        blocks.append((step, step / 3.0, GridSolution(Mesh(nodes), values)))
+    assert snapshot_csv_lines(blocks) == per_value_lines(blocks)
+    assert max(sizes) == _CHUNK_ROWS
+    assert sum(sizes) == 3 * 2 * n
+
+
 def kernel_texts(values):
     return [bytes(row[row != 0]).decode("ascii") for row in _format_17g(np.asarray(values))]
 
@@ -1154,6 +1222,80 @@ def test_format_17g_matches_percent_format_at_its_edges():
         ties = [m / 2.0**shift for m in (rng.integers(low, high, 500) | 1).tolist()]
         edges += ties
     assert_kernel_exact(edges + [-value for value in edges])
+
+
+def exact_decade(value):
+    """E with 10**E <= |value| < 10**(E + 1), from the exact value."""
+    magnitude = abs(fractions.Fraction(value))
+    decade = math.floor(math.log10(abs(value)))
+    while fractions.Fraction(10) ** decade > magnitude:
+        decade -= 1
+    while fractions.Fraction(10) ** (decade + 1) <= magnitude:
+        decade += 1
+    return decade
+
+
+def in_tie_band(value):
+    """Whether |value| * 10**(16 - E), its 17 digits unrounded, lies within
+    the kernel's tie band and error bound of a half-integer."""
+    scaled = abs(fractions.Fraction(value)) * fractions.Fraction(10) ** (16 - exact_decade(value))
+    return abs(scaled - math.floor(scaled) - fractions.Fraction(1, 2)) <= snapshots._TIE_BAND + 6e-15
+
+
+def python_fallback_values(monkeypatch, values):
+    """Run the kernel on ``values``, check its texts, and return every value
+    it handed to Python's own '%.17g'."""
+    handed = []
+    real_fallback = snapshots._python_17g
+
+    def spying_fallback(values):
+        handed.extend(values.tolist())
+        return real_fallback(values)
+
+    monkeypatch.setattr(snapshots, "_python_17g", spying_fallback)
+    assert_kernel_exact(values)
+    return handed
+
+
+def test_format_17g_matches_percent_format_in_every_decade_below_one_millionth():
+    edges = []
+    for power in range(-323, -5):
+        edges += neighbours(float(f"1e{power}"), 5)
+    # The smallest subnormal, the largest subnormal and the smallest normal.
+    edges += neighbours(5e-324, 3) + neighbours(2.2250738585072009e-308, 3)
+    # Values that carry into the next decade, and those just below them.
+    for power in range(7, 324):
+        edges += neighbours(float(f"9.99999999999999999e-{power}"), 3)
+        edges += neighbours(float(f"9.9999999999999995e-{power}"), 3)
+    assert_kernel_exact(edges + [-value for value in edges])
+
+
+def test_format_17g_hands_exact_ties_to_python(monkeypatch):
+    # m * 2**j with m odd is a tie, 18 significant digits ending in 5, in
+    # decade E exactly when j = E - 17. Below 1e-6, where 10**(16 - E) is no
+    # double, such doubles exist only in E = -8 and -7.
+    ties = []
+    for decade in range(-324, -6):
+        scale = fractions.Fraction(2) ** (17 - decade)
+        low = math.ceil(fractions.Fraction(10) ** decade * scale)
+        high = math.ceil(fractions.Fraction(10) ** (decade + 1) * scale)
+        ties += [math.ldexp(m, decade - 17) for m in range(low | 1, high, 2)]
+    assert sorted({exact_decade(tie) for tie in ties}) == [-8, -7]
+    values = ties + [-tie for tie in ties]
+    assert sorted(python_fallback_values(monkeypatch, values)) == sorted(values)
+
+
+def test_format_17g_hands_python_only_what_it_cannot_settle(monkeypatch):
+    rng = np.random.default_rng(38)
+    draws = 10.0 ** rng.uniform(-323.0, -6.0, 10_000) * rng.choice([-1.0, 1.0], 10_000)
+    handed = python_fallback_values(monkeypatch, draws)
+    assert all(in_tie_band(value) for value in handed)
+    # Any float64: only non-finite values, |v| >= 10 and those in the tie
+    # band. No double below 10 rounds up to 10 at 17 digits.
+    bits = np.random.default_rng(39).integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    edges = [math.nextafter(10.0, 0.0), 10.0, math.inf, -math.inf, math.nan]
+    for value in python_fallback_values(monkeypatch, np.concatenate([bits, edges])):
+        assert not math.isfinite(value) or abs(value) >= 10.0 or in_tie_band(value), value
 
 
 def test_tv_series_lines_match_per_value_formatting():
