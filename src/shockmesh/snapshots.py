@@ -5,13 +5,15 @@ known only when the run ends. ``spill_hook`` therefore writes every step's
 values, and the nodes of each new mesh, to a binary file as raw float64
 bytes, and ``snapshot_lines`` reads back and formats only the kept steps.
 Blocks on a mesh of their own, as in adaptive runs, are formatted a chunk
-of blocks at a time by a numpy kernel, ``_format_17g``, that writes exactly
-what '%.17g' writes: itself for zeros and every finite |x| < 10, subnormals
-included, and through Python's own '%.17g' for the rest and for the rare
-values next to a rounding tie. On a mesh that several kept blocks share, as
-on a fixed mesh, each block after the first rewrites only the rows whose
-value changed. Only the command-line harness imports this module; its
-bound table writes its rows through the same kernel.
+of blocks at a time by ``_text_rows``, which assembles the rows in one
+uint8 matrix. Their numbers come from a numpy kernel, ``_format_17g``, that
+writes exactly what '%.17g' writes: itself, by one digit path for every
+decade, for zeros and every finite |x| < 10, subnormals included, and
+through Python's own '%.17g' for the rest and for the rare values next to
+a rounding tie. On a mesh that several kept blocks share, as on a fixed
+mesh, each block after the first rewrites only the rows whose value
+changed. Only the command-line harness imports this module; its bound
+table writes its rows through ``_text_rows`` too.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def spill_hook(spill: BinaryIO, index: list[tuple[int, float, int, int]]):
 # and point, 16 of digits and 8 of exponent ("e-324" at most) and padding.
 # No '%.17g' text is longer than 24 bytes.
 _FIELD = 32
-# Rows per chunk of blocks that ``_lone_blocks`` formats at once: enough to
+# Rows per chunk of blocks that ``_text_rows`` assembles at once: enough to
 # spread the kernel's per-call cost over several blocks at small N, and few
 # enough that a chunk's byte matrices stay under about 1 MB. Also the most
 # values per kernel call, for a block of more rows.
@@ -122,65 +124,31 @@ def _two_product(
     return p, ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
 
 
-# A double's decade E = -6..0 is its bin among these bounds, settled on its
-# exact value; 10**(16 + k), k = -E, is exact in float64.
-_DECADES = np.array([_at_or_above(power) for power in range(-6, 2)])
-_SCALES = 10.0 ** np.arange(16, 23)
-_SCALES_HIGH, _SCALES_LOW = _halves(_SCALES)
-# The decades E = -324..-7, the subnormals' included, likewise: E + 324 is
-# the bin of |v| among these bounds. In decade E, |v| * 2**s with s =
-# _DEEP_SHIFTS[E + 324] lies in [1, 20), and 10**(16 - E) * 2**-s, which
-# lies in (5e15, 1e16], is the double-double _DEEP_HIGH + _DEEP_LOW: two
-# correctly rounded int/int quotients.
-_DEEP_DECADES = np.array([_at_or_above(power) for power in range(-323, -6)])
+# The decades E = -324..0, the subnormals' included: E + 324 is the bin of
+# |v| among these bounds, settled on its exact value, and 325 that of |v| >=
+# 10 and of non-finite values. In decade E, |v| * 2**s with s =
+# _SHIFTS[E + 324] lies in [1, 20), and 10**(16 - E) * 2**-s, which lies in
+# (5e15, 1e16], is the double-double _HIGH + _LOW: two correctly rounded
+# int/int quotients. For E >= -6, 5**(16 - E) < 2**53 makes it a double,
+# and _LOW is 0.
+_DECADES = np.array([_at_or_above(power) for power in range(-323, 2)])
 
 
-def _deep_factor(power: int) -> tuple[int, float, float]:
-    """s, _DEEP_HIGH and _DEEP_LOW of the decade E = ``power``."""
-    shift = (10**-power).bit_length()
+def _factor(power: int) -> tuple[int, float, float]:
+    """s, _HIGH and _LOW of the decade E = ``power``."""
+    shift = (10**-power - 1).bit_length()
     high = 10 ** (16 - power) / (1 << shift)
     numerator, denominator = high.as_integer_ratio()
     low = (10 ** (16 - power) * denominator - (numerator << shift)) / (denominator << shift)
     return shift, high, low
 
 
-_DEEP_SHIFTS, _DEEP_HIGH, _DEEP_LOW = (
-    np.array(column) for column in zip(*map(_deep_factor, range(-324, -6)))
-)
-_DEEP_HIGH_HIGH, _DEEP_HIGH_LOW = _halves(_DEEP_HIGH)
+_SHIFTS, _HIGH, _LOW = (np.array(column) for column in zip(*map(_factor, range(-324, 1))))
+_SHIFTS = _SHIFTS.astype(np.int32)  # np.ldexp takes int32 exponents about 3x faster
+_HIGH_HIGH, _HIGH_LOW = _halves(_HIGH)
 # The half-width of the band around a tie, in units of the 17th digit,
-# beyond the error bound of ``_deep_digits``.
+# beyond the error bound of ``_format_17g``.
 _TIE_BAND = 2.0**-44
-
-
-def _deep_digits(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 17 digits D and k = -E of each 0 < |v| < 1e-6, and where D is
-    not settled: the values in the band around a tie.
-
-    With a = |v| * 2**s, exact, and the two-product a * _DEEP_HIGH = p + e,
-    X = |v| * 10**(16 - E) = p + e + a * _DEEP_LOW + a * r, where r is what
-    the double-double misses. Its terms in units of the 17th digit, with
-    u = 2**-53: |e| <= ulp(p) / 2 <= 8 for p < 2**57; |_DEEP_LOW| <= ulp(1e16)
-    / 2 = 1, so |r| <= u and |a * r| < 20u; fl(a * _DEEP_LOW) is off by at
-    most 2**-49 for a product below 20, and f = fl(e + fl(a * _DEEP_LOW)) by
-    at most 2**-49 more for a sum below 28. So |X - p - f| < 2**-48 + 20u <
-    6e-15, and rint(f) + p is X rounded half to even whenever f lies more
-    than that from a half-integer. The band is 2**-44, about 5.7e-14: only
-    a value there is left unsettled, and ties (X exactly a half-integer,
-    which for E <= -7 happens only in E = -8 and -7) always are.
-    """
-    decade = np.searchsorted(_DEEP_DECADES, magnitude, side="right")
-    a = np.ldexp(magnitude, _DEEP_SHIFTS[decade])
-    p, e = _two_product(a, _DEEP_HIGH[decade], _DEEP_HIGH_HIGH[decade], _DEEP_HIGH_LOW[decade])
-    e += a * _DEEP_LOW[decade]
-    whole = np.rint(e)
-    unsettled = np.abs(np.abs(e - whole) - 0.5) <= _TIE_BAND
-    digits = p.astype(np.int64) + whole.astype(np.int64)
-    k = 324 - decade
-    carry = digits == 10**17
-    digits[carry] = 10**16
-    k[carry] -= 1
-    return digits, k, unsettled
 
 
 def _python_17g(values: np.ndarray) -> np.ndarray:
@@ -196,18 +164,26 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
 
     Row i holds the ASCII text of ``values[i]`` with NUL bytes among and
     after its characters; dropping the NULs leaves exactly '%.17g' % v.
-    Zeros and every finite |v| < 10, the decades E <= 0, are formatted here:
+    Zeros and every finite |v| < 10, the decades E = -324..0, take one
+    digit path here:
 
     - E is the bin of |v| among ``_DECADES``, so it is exact.
-    - For E = -6..0, Dekker's two-product with the exact double 10**q,
-      q = 16 - E, gives |v| * 10**q = p + e exactly; p is a float64 in
-      [1e16, 1e17], so an even integer.
-    - D = p + rint(e) in int64 is then |v| * 10**q rounded half to even, the
-      17 significant digits. D = 10**17 carries: D = 10**16 and E + 1. No
-      double below 10 carries to E = 1: the largest is 10 - 2**-49.
-    - For E <= -7, only on those values, ``_deep_digits`` finds E, and D
-      from an exact power of two and a double-double 10**q; it leaves the
-      values within a tie band unsettled.
+    - a = |v| * 2**s is exact, and Dekker's two-product gives a * _HIGH =
+      p + e exactly. With r what the double-double misses, X = |v| *
+      10**(16 - E) = p + e + a * _LOW + a * r, and its rounding to an
+      integer holds the 17 significant digits D.
+    - The error, in units of the 17th digit, with u = 2**-53: X < 1e17, so
+      p is an integer and |e| <= ulp(p) / 2 <= 8; |_LOW| <= ulp(1e16) / 2
+      = 1, so |r| <= u and |a * r| < 20u; fl(a * _LOW) is off by at most
+      2**-49 for a product below 20, and f = fl(e + fl(a * _LOW)) by at
+      most 2**-49 more for a sum below 28. So |X - p - f| < 2**-48 + 20u <
+      6e-15, and 0 for E >= -6, where _LOW and r are 0.
+    - D = p + rint(f) in int64 is then X rounded to the nearest integer
+      whenever f lies more than that bound from a half-integer. The values
+      within ``_TIE_BAND`` = 2**-44, about 5.7e-14, of one are left
+      unsettled; ties (X exactly a half-integer) always are.
+    - D = 10**17 carries: D = 10**16 and E + 1. No double below 10 carries
+      to E = 1: the largest is 10 - 2**-49.
     - '%.17g' writes E = -4..0 in fixed notation and E <= -5 as d.ddde-XX,
       with two or three exponent digits, each without trailing zeros, and a
       point only before a digit.
@@ -217,34 +193,29 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     magnitude = np.abs(values)
-    band = np.searchsorted(_DECADES, magnitude, side="right")
-    inside = (band >= 1) & (band <= 7)
-    zero = magnitude == 0.0
-    k = np.where(inside, 7 - band, 0)  # -E, and 0 where no E applies
-    a = np.where(inside, magnitude, 1.0)
-    p, e = _two_product(a, _SCALES[k], _SCALES_HIGH[k], _SCALES_LOW[k])
-    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    decade = np.searchsorted(_DECADES, magnitude, side="right")
+    python = decade == _DECADES.size
+    # Any finite stand-in keeps the arithmetic below free of inf and NaN.
+    magnitude[python] = 1.0
+    decade[python] = 324
+    a = np.ldexp(magnitude, _SHIFTS[decade])
+    p, f = _two_product(a, _HIGH[decade], _HIGH_HIGH[decade], _HIGH_LOW[decade])
+    f += a * _LOW[decade]
+    whole = np.rint(f)
+    python |= np.abs(np.abs(f - whole) - 0.5) <= _TIE_BAND
+    digits = p.astype(np.int64) + whole.astype(np.int64)
+    k = 324 - decade  # -E, and 0 for zeros
+    k[magnitude == 0.0] = 0
     carry = digits == 10**17
     if carry.any():
         digits[carry] = 10**16
         k -= carry
-    others = ~(inside | zero)
-    python = deep = None
-    if others.any():
-        python = others.nonzero()[0]
-        small = magnitude[python] < _DECADES[0]
-        if small.any():
-            deep = python[small]
-            deep_digits, deep_k, unsettled = _deep_digits(magnitude[deep])
-            digits[deep] = deep_digits
-            k[deep] = 6
-            python = np.concatenate([python[~small], deep[unsettled]])
     first = digits // 10**16
     rest = digits - first * 10**16
-    first[zero] = 0
     out = np.empty((values.size, _FIELD // 8), np.uint64)
-    point = (rest != 0) & _POINTED[k]
-    out[:, 0] = _HEADS[(np.signbit(values) * 7 + k) * 20 + first * 2 + point]
+    head = np.minimum(k, 6)
+    point = (rest != 0) & _POINTED[head]
+    out[:, 0] = _HEADS[(np.signbit(values) * 7 + head) * 20 + first * 2 + point]
     # The 16 digits after the first as four groups of four; a group's
     # trailing zeros are NUL when every group after it is 0.
     words = out.view(np.uint32)
@@ -260,20 +231,11 @@ def _format_17g(values: np.ndarray) -> np.ndarray:
     words[:, 4] = _GROUPS[g3 + 10000 * (g4 == 0)]
     words[:, 5] = _GROUPS[g4 + 10000]
     out[:, 3] = _EXPONENTS[k]
-    if deep is not None:
-        out[deep, 3] = _EXPONENTS[deep_k]
     text = out.view(np.uint8)
-    if python is not None and python.size:
+    if python.any():
+        python = python.nonzero()[0]
         text[python] = _python_17g(values[python])
     return text
-
-
-def _put_17g(target: np.ndarray, values: np.ndarray) -> None:
-    """Write the ``_format_17g`` rows of ``values`` into the rows of ``target``,
-    ``_CHUNK_ROWS`` values per call: per value, calls of more than about
-    2,400 values run slower."""
-    for start in range(0, values.size, _CHUNK_ROWS):
-        target[start : start + _CHUNK_ROWS] = _format_17g(values[start : start + _CHUNK_ROWS])
 
 
 def _padded(texts: list[bytes]) -> np.ndarray:
@@ -287,11 +249,12 @@ def _padded(texts: list[bytes]) -> np.ndarray:
 def _text_rows(pieces: list[np.ndarray | bytes]) -> str:
     """Rows of text joined by newlines; row i joins each piece's text for i.
 
-    A piece is a float64 array of one value per row, written as '%.17g'
-    through ``_put_17g``; a uint8 matrix of one NUL-padded text per row; or
+    A piece is a float64 array of one value per row, written as '%.17g' by
+    ``_format_17g``; a uint8 matrix of one NUL-padded text per row; or
     bytes that every row repeats. The first piece is one of the first two
     kinds. Every row is assembled in one uint8 matrix, and the NULs are
-    dropped at the end.
+    dropped at the end. The kernel takes at most ``_CHUNK_ROWS`` values per
+    call: per value, calls of more than about 2,400 values run slower.
     """
     pieces = [
         np.frombuffer(piece, np.uint8) if isinstance(piece, bytes) else piece
@@ -301,36 +264,14 @@ def _text_rows(pieces: list[np.ndarray | bytes]) -> str:
     rows = np.empty((len(pieces[0]), sum(widths)), np.uint8)
     at = 0
     for piece, width in zip(pieces, widths):
+        column = rows[:, at : at + width]
         if piece.dtype == np.float64:
-            _put_17g(rows[:, at : at + width], piece)
+            for start in range(0, piece.size, _CHUNK_ROWS):
+                column[start : start + _CHUNK_ROWS] = _format_17g(piece[start : start + _CHUNK_ROWS])
         else:
-            rows[:, at : at + width] = piece
+            column[:] = piece
         at += width
     rows[-1, -1] = 0
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _lone_blocks(
-    blocks: list[tuple[bytes, np.ndarray, np.ndarray]], node_index: np.ndarray
-) -> str:
-    """The rows of blocks given as (prefix, nodes, values), as one text.
-
-    Every row is assembled in one uint8 matrix, NUL-padded field by field,
-    and the NULs are dropped at the end. The x and u columns go through
-    ``_put_17g``.
-    """
-    n, index_width = node_index.shape
-    prefixes = _padded([prefix for prefix, _, _ in blocks])
-    x_at = prefixes.shape[1] + index_width
-    u_at = x_at + _FIELD + 1
-    rows = np.empty((len(blocks), n, u_at + _FIELD + 1), np.uint8)
-    rows[:, :, : x_at - index_width] = prefixes[:, None]
-    rows[:, :, x_at - index_width : x_at] = node_index
-    flat = rows.reshape(-1, rows.shape[-1])
-    for at, column, end in ((x_at, 1, ","), (u_at, 2, "\n")):
-        _put_17g(flat[:, at : at + _FIELD], np.concatenate([block[column] for block in blocks]))
-        flat[:, at + _FIELD] = ord(end)
-    rows[-1, -1, -1] = 0
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -344,8 +285,7 @@ def snapshot_lines(
     ``index`` holds. Every number is written as '%.17g' % x. Consecutive
     blocks on meshes of one kept block each, as in adaptive runs, are
     yielded as one text per chunk of up to ``_CHUNK_ROWS`` rows (at least
-    one block), formatted by ``_format_17g`` at most ``_CHUNK_ROWS`` values
-    per call. A mesh that several kept
+    one block), which ``_text_rows`` assembles. A mesh that several kept
     blocks share has its row texts kept: each block after its first
     re-renders only the rows whose value differs bit for bit from the block
     before.
@@ -375,11 +315,17 @@ def snapshot_lines(
             if index_matrix is None:
                 index_matrix = _padded([text.encode() for text in node_index])
             for start in range(0, len(entries), per_chunk):
-                blocks = [
-                    (("%d,%.17g," % (step, instant)).encode(), read(nodes_at), read(values_at))
-                    for step, instant, nodes_at, values_at in entries[start : start + per_chunk]
-                ]
-                yield _lone_blocks(blocks, index_matrix)
+                chunk = entries[start : start + per_chunk]
+                prefixes = _padded([b"%d,%.17g," % (step, instant) for step, instant, _, _ in chunk])
+                yield _text_rows(
+                    [
+                        np.repeat(prefixes, n, axis=0),
+                        np.tile(index_matrix, (len(chunk), 1)),
+                        np.concatenate([read(nodes_at) for _, _, nodes_at, _ in chunk]),
+                        b",",
+                        np.concatenate([read(values_at) for _, _, _, values_at in chunk]),
+                    ]
+                )
             continue
         for step, instant, nodes_at, values_at in entries:
             prefix = "%d,%.17g," % (step, instant)

@@ -1206,7 +1206,9 @@ def test_format_17g_matches_percent_format_at_its_edges():
     edges = []
     for power in range(-8, 18):
         edges += neighbours(float(f"1e{power}"), 5)
-    # The kernel's range ends, whose own doubles lie on either side of them.
+    # 10, where Python's own '%.17g' takes over, and 1e-6, below which the
+    # decade's double-double factor needs a low part; their own doubles lie
+    # on either side of them.
     for edge in (1e-6, 10.0):
         edges += neighbours(edge, 50)
     # Values that round up to the next decade, and those just below them.
@@ -1272,17 +1274,43 @@ def test_format_17g_matches_percent_format_in_every_decade_below_one_millionth()
 
 def test_format_17g_hands_exact_ties_to_python(monkeypatch):
     # m * 2**j with m odd is a tie, 18 significant digits ending in 5, in
-    # decade E exactly when j = E - 17. Below 1e-6, where 10**(16 - E) is no
-    # double, such doubles exist only in E = -8 and -7.
+    # decade E exactly when j = E - 17. Below 1e-6 such doubles exist only
+    # in E = -8 and -7, and all of them are taken; in each decade E = -6..0,
+    # where the kernel's product is exact, 300 drawn ones.
+    rng = np.random.default_rng(39)
     ties = []
-    for decade in range(-324, -6):
+    for decade in range(-324, 1):
         scale = fractions.Fraction(2) ** (17 - decade)
         low = math.ceil(fractions.Fraction(10) ** decade * scale)
         high = math.ceil(fractions.Fraction(10) ** (decade + 1) * scale)
-        ties += [math.ldexp(m, decade - 17) for m in range(low | 1, high, 2)]
-    assert sorted({exact_decade(tie) for tie in ties}) == [-8, -7]
+        odd = range(low | 1, high, 2)
+        if decade >= -6:
+            odd = [odd[i] for i in rng.integers(0, len(odd), 300).tolist()]
+        ties += [math.ldexp(m, decade - 17) for m in odd]
+    assert sorted({exact_decade(tie) for tie in ties}) == list(range(-8, 1))
     values = ties + [-tie for tie in ties]
     assert sorted(python_fallback_values(monkeypatch, values)) == sorted(values)
+
+
+def test_format_17g_error_bound_premises_hold_in_every_decade():
+    # The premises of the error bound in _format_17g's docstring, on exact
+    # values, for each decade E = -324..0 and its smallest and largest double.
+    assert snapshots._TIE_BAND > fractions.Fraction(2) ** -48 + 20 * fractions.Fraction(2) ** -53
+    for decade in range(-324, 1):
+        at = decade + 324
+        shift = int(snapshots._SHIFTS[at])
+        high = fractions.Fraction(float(snapshots._HIGH[at]))
+        low = fractions.Fraction(float(snapshots._LOW[at]))
+        smallest = 5e-324 if at == 0 else float(snapshots._DECADES[at - 1])
+        largest = math.nextafter(float(snapshots._DECADES[at]), 0.0)
+        assert exact_decade(smallest) == exact_decade(largest) == decade
+        for magnitude in (smallest, largest):
+            assert 1 <= fractions.Fraction(magnitude) * 2**shift < 20
+        assert 5 * 10**15 < high <= 10**16
+        assert abs(low) <= 1
+        assert low == 0 or decade < -6
+        factor = fractions.Fraction(10 ** (16 - decade), 2**shift)
+        assert abs(high + low - factor) <= factor / 2**53
 
 
 def test_format_17g_hands_python_only_what_it_cannot_settle(monkeypatch):
