@@ -4,25 +4,23 @@ Which steps snapshots.csv keeps depends on the final step count, which is
 known only when the run ends. ``spill_hook`` therefore writes every step's
 values, and the nodes of each new mesh, to a binary file as raw float64
 bytes, and ``snapshot_lines`` reads back and formats only the kept steps.
-Blocks on a mesh of their own, as in adaptive runs, are formatted a chunk
-of blocks at a time by ``_text_rows``, which assembles the rows in one
-uint8 matrix. Their numbers come from a numpy kernel, ``_format_17g``, that
-writes exactly what '%.17g' writes: itself, by one digit path for every
-decade, for zeros and every finite |x| < 10, subnormals included, and
-through Python's own '%.17g' for the rest and for the rare values next to
-a rounding tie. On a mesh that several kept blocks share, as on a fixed
-mesh, each block after the first rewrites only the rows whose value
-changed. Only the command-line harness imports this module; its bound
-table writes its rows through ``_text_rows`` too.
+If they share one mesh, as in a fixed-mesh run, each block after the first
+rewrites only the rows whose value changed. Otherwise, as in adaptive runs,
+``_text_rows`` assembles a chunk of blocks at a time in one uint8 matrix,
+with numbers from a numpy kernel, ``_format_17g``, that writes exactly what
+'%.17g' writes: itself, by one digit path for every decade, for zeros and
+every finite |x| < 10, subnormals included, and through Python's own
+'%.17g' for the rest and for the rare values next to a rounding tie. Only
+the command-line harness imports this module; its bound table writes its
+rows through ``_text_rows`` too.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from collections import Counter
 from collections.abc import Iterator
-from itertools import chain, groupby
+from itertools import chain
 from typing import BinaryIO
 
 import numpy as np
@@ -282,18 +280,17 @@ def snapshot_lines(
 
     Kept are the steps on a cadence of about 50 blocks per run, and the
     last step. Their arrays are read back from ``spill`` at the offsets
-    ``index`` holds. Every number is written as '%.17g' % x. Consecutive
-    blocks on meshes of one kept block each, as in adaptive runs, are
-    yielded as one text per chunk of up to ``_CHUNK_ROWS`` rows (at least
-    one block), which ``_text_rows`` assembles. A mesh that several kept
-    blocks share has its row texts kept: each block after its first
+    ``index`` holds. Every number is written as '%.17g' % x. If one mesh
+    serves every kept block (a fixed-mesh run, or one kept block), its
+    "i,x," texts are formatted once, and each block after the first
     re-renders only the rows whose value differs bit for bit from the block
-    before.
+    before. Any other run, such as an adaptive one with a mesh per block,
+    is yielded as one text per chunk of up to ``_CHUNK_ROWS`` rows (at
+    least one block), which ``_text_rows`` assembles.
     """
     last = index[-1][0]
     cadence = max(1, math.ceil(last / 50))
     kept = [entry for entry in index if entry[0] % cadence == 0 or entry[0] == last]
-    uses = Counter(nodes_at for _, _, nodes_at, _ in kept)
 
     # Read past the write buffer, which would otherwise refill itself in
     # full for every block.
@@ -305,45 +302,36 @@ def snapshot_lines(
         return np.frombuffer(raw.read(8 * n))
 
     yield "step,time,node_index,x,u"
-    node_index = [f"{i}," for i in range(n)]
-    per_chunk = max(1, _CHUNK_ROWS // n)
-    index_matrix = None
-    cached_at = node_texts = rows = shown = None
-    for lone, entries in groupby(kept, key=lambda entry: uses[entry[2]] == 1):
-        if lone:
-            entries = list(entries)
-            if index_matrix is None:
-                index_matrix = _padded([text.encode() for text in node_index])
-            for start in range(0, len(entries), per_chunk):
-                chunk = entries[start : start + per_chunk]
-                prefixes = _padded([b"%d,%.17g," % (step, instant) for step, instant, _, _ in chunk])
-                yield _text_rows(
-                    [
-                        np.repeat(prefixes, n, axis=0),
-                        np.tile(index_matrix, (len(chunk), 1)),
-                        np.concatenate([read(nodes_at) for _, _, nodes_at, _ in chunk]),
-                        b",",
-                        np.concatenate([read(values_at) for _, _, _, values_at in chunk]),
-                    ]
-                )
-            continue
-        for step, instant, nodes_at, values_at in entries:
-            prefix = "%d,%.17g," % (step, instant)
+    if len({nodes_at for _, _, nodes_at, _ in kept}) == 1:
+        # One mesh: its "i,x," texts once, every row of the first block,
+        # then only the rows whose value changed, bit for bit, so that -0.0
+        # and 0.0 stay apart.
+        fields = chain.from_iterable(enumerate(read(kept[0][2]).tolist()))
+        node_texts = ("\n".join(["%d,%.17g,"] * n) % tuple(fields)).split("\n")
+        rows = node_texts.copy()
+        # The first block's bits inverted, so that all its rows are written.
+        shown = ~read(kept[0][3]).view(np.uint64)
+        for step, instant, _, values_at in kept:
             values = read(values_at)
-            if nodes_at != cached_at:
-                # A mesh that several kept blocks share: its "i,x," texts
-                # once, and every row of its first block.
-                cached_at = nodes_at
-                fields = chain.from_iterable(zip(node_index, read(nodes_at).tolist()))
-                node_texts = ("\n".join(["%s%.17g,"] * n) % tuple(fields)).split("\n")
-                rows = node_texts.copy()
-                changed = np.arange(n)
-            else:
-                # Only the rows whose value changed, bit for bit, so that
-                # -0.0 and 0.0 stay apart.
-                changed = (values.view(np.uint64) != shown.view(np.uint64)).nonzero()[0]
-            shown = values
+            changed = (values.view(np.uint64) != shown).nonzero()[0]
+            shown = values.view(np.uint64)
             texts = "\n".join(["%.17g"] * changed.size) % tuple(values[changed].tolist())
             for i, text in zip(changed.tolist(), texts.split("\n")):
                 rows[i] = node_texts[i] + text
+            prefix = "%d,%.17g," % (step, instant)
             yield prefix + ("\n" + prefix).join(rows)
+        return
+    index_matrix = _padded([b"%d," % i for i in range(n)])
+    per_chunk = max(1, _CHUNK_ROWS // n)
+    for start in range(0, len(kept), per_chunk):
+        chunk = kept[start : start + per_chunk]
+        prefixes = _padded([b"%d,%.17g," % (step, instant) for step, instant, _, _ in chunk])
+        yield _text_rows(
+            [
+                np.repeat(prefixes, n, axis=0),
+                np.tile(index_matrix, (len(chunk), 1)),
+                np.concatenate([read(nodes_at) for _, _, nodes_at, _ in chunk]),
+                b",",
+                np.concatenate([read(values_at) for _, _, _, values_at in chunk]),
+            ]
+        )

@@ -945,8 +945,8 @@ SIGNED_ZEROS = np.array([0.0, -0.0, 5e-324, -5e-324, 0.0, 2.2250738585072009e-30
 
 
 def test_snapshot_lines_match_per_value_formatting():
-    # Both blocks on one mesh object (x text from the cache), then each on
-    # its own (one %-format per block).
+    # Both blocks on one mesh object (the rewrite path), then each on its
+    # own (the kernel path).
     mesh = Mesh(EDGE_NODES)
     for second_mesh in (mesh, Mesh(EDGE_NODES.copy())):
         snapshots = [
@@ -970,9 +970,9 @@ def test_snapshot_lines_keep_signed_zeros_and_subnormals_apart(shared_mesh):
 
 
 def test_snapshot_lines_follow_mesh_changes():
-    # Two blocks on one mesh (the second reads its x text from the cache),
-    # a mesh of one block, then another shared mesh whose nodes equal the
-    # first one's but whose x text is formatted again.
+    # Two blocks on one mesh, a mesh of one block, then another shared mesh
+    # whose nodes equal the first one's: the spill holds each mesh's nodes
+    # once, and the kernel path writes every block on the mesh it names.
     rng = np.random.default_rng(3)
 
     def mesh():
@@ -1009,12 +1009,48 @@ def test_snapshot_lines_keep_the_cadence_and_the_last_step():
     assert sorted({int(line.split(",")[0]) for line in lines[1:]})[-2:] == [52, 53]
 
 
+def kernel_row_counts(monkeypatch):
+    """The rows of each ``snapshots._text_rows`` call from now on."""
+    counts = []
+    real_text_rows = snapshots._text_rows
+
+    def counting_text_rows(pieces):
+        counts.append(len(pieces[0]))
+        return real_text_rows(pieces)
+
+    monkeypatch.setattr(snapshots, "_text_rows", counting_text_rows)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "meshes, kernel",
+    [("a", False), ("aaaa", False), ("abcd", True), ("aabcc", True)],
+    ids=["one_block", "one_mesh", "mesh_per_block", "mixed"],
+)
+def test_snapshot_lines_choose_their_path_from_the_meshes(monkeypatch, meshes, kernel):
+    # A spill whose kept blocks all share one mesh takes the rewrite path
+    # and never calls the kernel's row assembler; any other spill writes
+    # every block through it.
+    counts = kernel_row_counts(monkeypatch)
+    rng = np.random.default_rng(5)
+    n = SIGNED_ZEROS.size
+    by_name = {name: Mesh(np.sort(rng.uniform(0.0, 1.0, n))) for name in set(meshes)}
+    blocks = [
+        (step, step / 7.0, GridSolution(by_name[name], rng.choice(SIGNED_ZEROS, n)))
+        for step, name in enumerate(meshes)
+    ]
+    assert snapshot_csv_lines(blocks) == per_value_lines(blocks)
+    assert sum(counts) == (len(blocks) * n if kernel else 0)
+
+
 @pytest.mark.parametrize("moved", [False, True], ids=["equal_nodes", "moved_nodes"])
-def test_snapshot_lines_rewrite_only_changed_rows_on_a_shared_mesh(moved):
+def test_snapshot_lines_rewrite_only_changed_rows_on_a_shared_mesh(monkeypatch, moved):
     # Blocks on one mesh: nothing changes; one row flips 0.0 -> -0.0, then
     # back; a row returns to the value it held two blocks before; every row
-    # changes. Then a mesh of one block, and a new shared mesh whose nodes
-    # equal the first one's (or are moved): no kept row may cross meshes.
+    # changes. Alone they are a one-mesh spill, which the rewrite path
+    # writes. Followed by a mesh of one block and a new shared mesh whose
+    # nodes equal the first one's (or are moved), they are a mixed spill,
+    # which the kernel path writes: no kept row may cross meshes.
     nodes = np.linspace(0.0, 1.0, SIGNED_ZEROS.size)
     first = Mesh(nodes)
     lone = Mesh(nodes * 0.5)
@@ -1040,10 +1076,14 @@ def test_snapshot_lines_rewrite_only_changed_rows_on_a_shared_mesh(moved):
         (step, step / 10.0, GridSolution(mesh, values))
         for step, (mesh, values) in enumerate(blocks)
     ]
-    lines = snapshot_csv_lines(snapshots)
-    assert lines == per_value_lines(snapshots)
-    # Row 0 of blocks 1, 2 and 3.
-    assert [lines[i].rsplit(",", 1)[1] for i in (8, 15, 22)] == ["0", "-0", "0"]
+    counts = kernel_row_counts(monkeypatch)
+    for spill, kernel in ((snapshots[:7], False), (snapshots, True)):
+        counts.clear()
+        lines = snapshot_csv_lines(spill)
+        assert lines == per_value_lines(spill)
+        assert bool(counts) == kernel
+        # Row 0 of blocks 1, 2 and 3.
+        assert [lines[i].rsplit(",", 1)[1] for i in (8, 15, 22)] == ["0", "-0", "0"]
 
 
 ROW_VALUES = [0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0, -1e300]
@@ -1122,6 +1162,23 @@ def test_simulate_fixed_mesh_blow_up_snapshots_match_per_value_formatting(
     assert rc == 3
     written = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
     assert written == per_value_lines(kept_steps(seen))
+
+
+@pytest.mark.parametrize("adaptive", ["true", "false"])
+def test_simulate_zero_length_run_writes_step_zero_only(tmp_path, monkeypatch, adaptive):
+    # t_final = 0: one kept block, which takes the rewrite path.
+    counts = kernel_row_counts(monkeypatch)
+    text = BASE_CONFIG.replace("t_final = 0.02", "t_final = 0") + f"adaptive = {adaptive}\n"
+    rc, seen = run_collecting(monkeypatch, tmp_path, text)
+    assert rc == 0 and counts == []
+    out = tmp_path / "out"
+    assert json.loads((out / "manifest.json").read_text())["steps"] == 0
+    assert [step for step, _, _ in seen] == [0]
+    written = (out / "snapshots.csv").read_text().splitlines()
+    assert len(written) == 1 + 40
+    assert written == per_value_lines(seen)
+    header = "step,time,tv,tvi,evolution_ratio,max_A,avg_A,a_n,E1"
+    assert (out / "tv_series.csv").read_text().splitlines() == [header]
 
 
 @pytest.mark.parametrize(
